@@ -63,6 +63,10 @@ class BrillouinZone:
         step = 2.0 * self.extent / resolution
         return -self.extent + (np.arange(resolution) + 0.5) * step
 
+    def midpoint_nodes(self, resolution: int) -> list[tuple[float, ...]]:
+        """The resolution^d midpoint-rule nodes of zone integrals, last axis fastest."""
+        return list(itertools.product(self.midpoint_axis(resolution), repeat=self.dimension))
+
 
 def brillouin_zone(half_width_l: int, dimension: int) -> BrillouinZone:
     return BrillouinZone(dimension, half_width_l)

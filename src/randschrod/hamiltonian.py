@@ -32,10 +32,9 @@ __all__ = [
     "assemble_anderson",
     "assemble_periodic_approx",
     "validate_single_site",
-    "fold_site",
+    "periodic_potential",
     "box_sites",
     "fundamental_sites",
-    "export_coordinate_file",
 ]
 
 # Largest point count the dense/banded solvers are expected to handle at
@@ -57,14 +56,11 @@ class GridSpec:
     cells : tuple of int
         Unit cells covered per axis.  Periodic-approximation boxes need
         an odd count 2l+1 per axis; plain Dirichlet boxes may use any.
-    stretch : tuple of float
-        Lattice constant per axis (anisotropic mesh).  Default 1.
     """
 
     dimension: int
     points_per_cell: int
     cells: tuple[int, ...]
-    stretch: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.dimension not in (1, 2):
@@ -73,10 +69,6 @@ class GridSpec:
             raise ValueError("points_per_cell must be >= 1")
         if len(self.cells) != self.dimension or any(c < 1 for c in self.cells):
             raise ValueError(f"cells must give >= 1 cells per axis, got {self.cells}")
-        if not self.stretch:
-            object.__setattr__(self, "stretch", (1.0,) * self.dimension)
-        if len(self.stretch) != self.dimension or any(a <= 0 for a in self.stretch):
-            raise ValueError("stretch needs one positive factor per axis")
         if self.n_points > SOLVER_BUDGET_POINTS:
             raise ValueError(
                 f"{self.n_points} grid points exceed the solver budget "
@@ -106,11 +98,11 @@ class GridSpec:
 
     @property
     def mesh(self) -> tuple[float, ...]:
-        return tuple(a / self.points_per_cell for a in self.stretch)
+        return (1.0 / self.points_per_cell,) * self.dimension
 
     @property
     def volume(self) -> float:
-        return float(np.prod([c * a for c, a in zip(self.cells, self.stretch)]))
+        return float(np.prod(self.cells))
 
     @property
     def half_width(self) -> int:
@@ -124,8 +116,7 @@ class GridSpec:
         """Cell-centered point coordinates along one axis, symmetric about 0."""
         n = self.shape[axis]
         h = self.mesh[axis]
-        length = self.cells[axis] * self.stretch[axis]
-        return -0.5 * length + (np.arange(n) + 0.5) * h
+        return -0.5 * self.cells[axis] + (np.arange(n) + 0.5) * h
 
     def points(self) -> np.ndarray:
         """All grid points as an (n_points, d) array in row-major order."""
@@ -470,6 +461,11 @@ class AssembledHamiltonian:
     def with_matrix(self, matrix: scipy.sparse.csr_matrix, label: str) -> "AssembledHamiltonian":
         return AssembledHamiltonian(matrix, self.grid, self.bc, label)
 
+    def with_potential(self, v: np.ndarray, label: str) -> "AssembledHamiltonian":
+        """This operator plus the multiplication by ``v`` (one value per grid point)."""
+        mat = (self.matrix + scipy.sparse.diags(v.astype(self.matrix.dtype))).tocsr()
+        return self.with_matrix(mat, label)
+
 
 def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """Negative LDL^T pivots of tridiag(off, diag, off) - E, per energy.
@@ -556,16 +552,17 @@ def assemble_h0(
     return AssembledHamiltonian(mat, grid, bc, label="h0")
 
 
+def _site_ranges(grid: GridSpec, margin: float) -> list[range]:
+    """Per axis, the integer sites whose truncated bump can reach the box."""
+    return [
+        range(math.ceil(-c / 2.0 - margin), math.floor(c / 2.0 + margin) + 1)
+        for c in grid.cells
+    ]
+
+
 def box_sites(grid: GridSpec, margin: float) -> list[tuple[int, ...]]:
     """Integer lattice sites whose truncated bump can reach the box."""
-    ranges = []
-    for j in range(grid.dimension):
-        half = grid.cells[j] * grid.stretch[j] / 2.0
-        a = grid.stretch[j]
-        lo = int(math.ceil((-half - margin) / a))
-        hi = int(math.floor((half + margin) / a))
-        ranges.append(range(lo, hi + 1))
-    return [tuple(k) for k in itertools.product(*ranges)]
+    return list(itertools.product(*_site_ranges(grid, margin)))
 
 
 def fundamental_sites(grid: GridSpec) -> list[tuple[int, ...]]:
@@ -574,63 +571,56 @@ def fundamental_sites(grid: GridSpec) -> list[tuple[int, ...]]:
     return [tuple(k) for k in itertools.product(range(-l, l + 1), repeat=grid.dimension)]
 
 
-def fold_site(site: tuple[int, ...], cells: tuple[int, ...]) -> tuple[int, ...]:
-    """Representative of site + (cells)Z^d inside {-l..l} per axis."""
-    out = []
-    for k, c in zip(site, cells):
-        if c % 2 == 0:
-            raise ValueError(f"folding needs an odd cell count, got {c}")
-        half = (c - 1) // 2
-        out.append((k + half) % c - half)
-    return tuple(out)
+def _site_sum(grid: GridSpec, u: SingleSitePotential, couplings: Sequence[float]) -> np.ndarray:
+    """v = sum_k omega_k u(x - k) at every grid point, as a flat array.
 
+    ``couplings`` lists omega_k over ``box_sites(grid, u.radius)`` in
+    that order.  On an axis of L cells and p points per cell, point i
+    sits at the mesh offset (s - c) / p from site k, with s = i - p k and
+    c = (p L - 1) / 2, so u is sampled once at the offsets of its support
+    and v is a sum of strided slices of the coupling array, one per
+    offset.  Offsets run in decreasing order, so every point adds its
+    terms in increasing site order.
+    """
+    p = grid.points_per_cell
+    ranges = _site_ranges(grid, u.radius)
+    omega = np.asarray(couplings, dtype=float).reshape([len(r) for r in ranges])
+    axes = []  # per axis: (mesh offsets, (point slice, site slice) per offset)
+    for n, cells, sites in zip(grid.shape, grid.cells, ranges):
+        c = 0.5 * (p * cells - 1)
+        s = np.arange(math.floor(c - p * u.radius) - 1, math.ceil(c + p * u.radius) + 2)
+        offsets = (s - c) / p
+        keep = np.abs(offsets) <= u.radius
+        s, offsets = s[keep], offsets[keep]
+        slices = []
+        for shift in s.tolist():
+            first = max(sites.start, -(shift // p))
+            last = min(sites.stop - 1, (n - 1 - shift) // p)
+            slices.append(
+                None if last < first else (
+                    slice(shift + p * first, shift + p * last + 1, p),
+                    slice(first - sites.start, last - sites.start + 1),
+                )
+            )
+        axes.append((offsets, slices))
 
-def _site_window_indices(
-    grid: GridSpec, site: tuple[int, ...], radius: float
-) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
-    """Grid indices within sup-norm ``radius`` of the site, or None."""
-    axes_idx = []
-    axes_off = []
-    for j in range(grid.dimension):
-        coords = grid.axis_coords(j)
-        pos = site[j] * grid.stretch[j]
-        lo = np.searchsorted(coords, pos - radius - 1e-12, side="left")
-        hi = np.searchsorted(coords, pos + radius + 1e-12, side="right")
-        if hi <= lo:
-            return None
-        axes_idx.append(np.arange(lo, hi))
-        axes_off.append(coords[lo:hi] - pos)
-    grids = np.meshgrid(*axes_off, indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=-1)
-    return tuple(axes_idx), offsets
-
-
-def _accumulate_site(
-    v: np.ndarray,
-    grid: GridSpec,
-    u: SingleSitePotential,
-    site: tuple[int, ...],
-    coupling: float,
-) -> None:
-    if coupling == 0.0:
-        return
-    window = _site_window_indices(grid, site, u.radius)
-    if window is None:
-        return
-    axes_idx, offsets = window
-    vals = coupling * u.evaluate(offsets)
-    shape = tuple(len(a) for a in axes_idx)
-    view = v.reshape(grid.shape)
-    ix = np.ix_(*axes_idx)
-    view[ix] += vals.reshape(shape)
-
-
-def _check_nonnegative(v: np.ndarray) -> None:
+    grids = np.meshgrid(*[offsets for offsets, _ in axes], indexing="ij")
+    kernel = u.evaluate(np.stack([g.ravel() for g in grids], axis=-1)).reshape(grids[0].shape)
+    v = np.zeros(grid.shape)
+    for index in itertools.product(*[range(len(offsets) - 1, -1, -1) for offsets, _ in axes]):
+        weight = kernel[index]
+        pairs = [slices[j] for (_, slices), j in zip(axes, index)]
+        if weight == 0.0 or None in pairs:
+            continue
+        points, sites = zip(*pairs)
+        v[points] += weight * omega[sites]
+    v = v.ravel()
     if np.min(v) < -1e-12:
         raise ValueError(
             f"assembled random potential has negative entries (min {np.min(v):.3e}); "
             "the single-site profile must be nonnegative"
         )
+    return v
 
 
 def assemble_anderson(
@@ -643,13 +633,26 @@ def assemble_anderson(
     Every lattice site whose truncation window meets the box must carry a
     coupling in ``sample``; a missing site raises KeyError naming it.
     """
-    grid = h0.grid
-    v = np.zeros(grid.n_points)
-    for site in box_sites(grid, u.radius):
-        _accumulate_site(v, grid, u, site, sample.coupling_at(site))
-    _check_nonnegative(v)
-    mat = (h0.matrix + scipy.sparse.diags(v.astype(h0.matrix.dtype))).tocsr()
-    return h0.with_matrix(mat, label="anderson")
+    sites = box_sites(h0.grid, u.radius)
+    v = _site_sum(h0.grid, u, [sample.coupling_at(k) for k in sites])
+    return h0.with_potential(v, label="anderson")
+
+
+def periodic_potential(
+    grid: GridSpec, u: SingleSitePotential, sample: DisorderSample
+) -> np.ndarray:
+    """Potential of the periodic approximation on a (2l+1)^d cube box.
+
+    The coupling at site k is the sampled value at the folded site
+    k mod (2l+1)Z^d (representative in {-l..l}^d), so only the fundamental
+    cell must be sampled.  Tails of u that cross the box boundary wrap
+    around the torus through the extended site sum.
+    """
+    l = grid.half_width
+    period = 2 * l + 1
+    sites = box_sites(grid, u.radius)
+    folded = [tuple((k + l) % period - l for k in site) for site in sites]
+    return _site_sum(grid, u, [sample.coupling_at(k) for k in folded])
 
 
 def assemble_periodic_approx(
@@ -657,35 +660,11 @@ def assemble_periodic_approx(
     u: SingleSitePotential,
     sample: DisorderSample,
 ) -> AssembledHamiltonian:
-    """Periodic approximation: couplings repeat with the box period.
+    """Periodic approximation: H0 plus ``periodic_potential``.
 
-    The coupling at site k is the sampled value at the folded site
-    k mod (2l+1)Z^d (representative in {-l..l}^d), so only the fundamental
-    cell must be sampled.  Tails of u that cross the box boundary wrap
-    around the torus through the extended site sum.  Requires a wrapping
-    boundary condition (Periodic or Theta) and an odd cell count.
+    Requires a wrapping boundary condition (Periodic or Theta) and an odd
+    cell count.
     """
-    grid = h0.grid
     if not h0.bc.wraps:
         raise ValueError("periodic approximation needs Periodic or Theta boundary conditions")
-    grid.half_width  # noqa: B018  -- validates the (2l+1)^d cube shape
-    v = np.zeros(grid.n_points)
-    for site in box_sites(grid, u.radius):
-        folded = fold_site(site, grid.cells)
-        _accumulate_site(v, grid, u, site, sample.coupling_at(folded))
-    _check_nonnegative(v)
-    mat = (h0.matrix + scipy.sparse.diags(v.astype(h0.matrix.dtype))).tocsr()
-    return h0.with_matrix(mat, label="periodic-approx")
-
-
-def export_coordinate_file(h: AssembledHamiltonian, path: str) -> None:
-    """Write the matrix as 'row col re [im]' text lines for inspection."""
-    coo = h.matrix.tocoo()
-    complex_vals = np.iscomplexobj(coo.data)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {h.label} n={h.n} bc={h.bc.kind}\n")
-        for r, c, x in zip(coo.row, coo.col, coo.data):
-            if complex_vals:
-                fh.write(f"{r} {c} {x.real!r} {x.imag!r}\n")
-            else:
-                fh.write(f"{r} {c} {x!r}\n")
+    return h0.with_potential(periodic_potential(h0.grid, u, sample), label="periodic-approx")

@@ -35,7 +35,6 @@ __all__ = [
     "matrix_function_hs",
     "matrix_function_eigh",
     "lemma_integral_check",
-    "write_extension_csv",
 ]
 
 # target bytes per stacked resolvent chunk in matrix_function_hs
@@ -759,19 +758,3 @@ def lemma_integral_check(
     return LemmaIntegralReport(
         rows=tuple(rows), onset_scale=onset, seminorm=norm, support_length=length
     )
-
-
-def write_extension_csv(
-    ext: AlmostAnalyticExtension, xs: np.ndarray, ys: np.ndarray, path: str
-) -> None:
-    X, Y = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float), indexing="ij")
-    vals = ext.value(X, Y)
-    der = ext.dbar(X, Y)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,re_ext,im_ext,re_dbar,im_dbar\n")
-        for i in range(X.shape[0]):
-            for j in range(X.shape[1]):
-                fh.write(
-                    f"{X[i, j]!r},{Y[i, j]!r},{vals[i, j].real!r},{vals[i, j].imag!r},"
-                    f"{der[i, j].real!r},{der[i, j].imag!r}\n"
-                )

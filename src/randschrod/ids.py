@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bands import brillouin_zone
 from .disorder import DisorderSample
 from .hamiltonian import AssembledHamiltonian, BoundaryCondition
 from .model import AndersonModel
@@ -173,23 +174,10 @@ def ids_periodic_approx(
         raise ValueError(f"theta_resolution must be >= 1, got {theta_resolution}")
     d = model.dimension
     length = 2 * half_width + 1
-    if theta_resolution == 1:
-        grids = [np.array([0.0])] * d
-    else:
-        from .bands import brillouin_zone
-
-        zone = brillouin_zone(half_width, d)
-        grids = [zone.midpoint_axis(theta_resolution)] * d
-
     weight = 1.0 / (length * theta_resolution) ** d
-    all_evals = []
-    if d == 1:
-        nodes = [(t,) for t in grids[0]]
-    else:
-        nodes = [(t1, t2) for t1 in grids[0] for t2 in grids[1]]
-    for theta in nodes:
-        h = model.periodic_box_at(half_width, theta, sample=sample)
-        all_evals.append(h.eigenvalues())
+    factory = model.periodic_band_factory(half_width, sample=sample)
+    nodes = brillouin_zone(half_width, d).midpoint_nodes(theta_resolution)
+    all_evals = [factory(theta).eigenvalues() for theta in nodes]
     positions = np.concatenate(all_evals)
     return IdsCurve.from_jumps(
         positions,
@@ -265,24 +253,12 @@ class DecayTable:
 
 
 def _functional_periodic(model, g, half_width, theta_resolution, realization) -> float:
-    grid_cells = 2 * half_width + 1
-    grid = model.grid(grid_cells)
-    sample = model.sample_fundamental(grid, realization)
-    return _functional_periodic_sample(model, g, half_width, theta_resolution, sample)
-
-
-def _functional_periodic_sample(model, g, half_width, theta_resolution, sample) -> float:
-    from .bands import brillouin_zone
-
     d = model.dimension
-    zone = brillouin_zone(half_width, d)
-    axis = zone.midpoint_axis(theta_resolution)
+    factory = model.periodic_band_factory(half_width, realization)
     weight = 1.0 / ((2 * half_width + 1) * theta_resolution) ** d
-    nodes = [(t,) for t in axis] if d == 1 else [(a, b) for a in axis for b in axis]
     total = 0.0
-    for theta in nodes:
-        evals = model.periodic_box_at(half_width, theta, sample=sample).eigenvalues()
-        total += float(np.sum(np.asarray(g(evals), dtype=float)))
+    for theta in brillouin_zone(half_width, d).midpoint_nodes(theta_resolution):
+        total += float(np.sum(np.asarray(g(factory(theta).eigenvalues()), dtype=float)))
     return weight * total
 
 
@@ -290,12 +266,6 @@ def _functional_dirichlet(model, g, cells, realization) -> float:
     h = model.anderson_box(cells, BoundaryCondition.dirichlet(), realization)
     evals = h.eigenvalues()
     return float(np.sum(np.asarray(g(evals), dtype=float))) / h.grid.volume
-
-
-def _zero_disorder(model: AndersonModel) -> AndersonModel:
-    from dataclasses import replace
-
-    return replace(model, disorder=replace(model.disorder, omega_max=0.0))
 
 
 def ids_difference_experiment(
@@ -330,7 +300,7 @@ def ids_difference_experiment(
     ref_mean = float(np.mean(ref_vals))
     ref_se = float(np.std(ref_vals, ddof=1) / math.sqrt(len(ref_vals))) if len(ref_vals) > 1 else 0.0
 
-    quiet = _zero_disorder(model)
+    quiet = model.quiet()
     ref_floor = _functional_dirichlet(quiet, g, ref_cells, 0)
 
     rows = []
@@ -530,20 +500,14 @@ class _EdgeMassSample:
         self.energy, self.theta_resolution = energy, theta_resolution
 
     def __call__(self, realization: int) -> float:
-        from .bands import brillouin_zone
-
         model, l = self.model, self.half_width
         d = model.dimension
-        grid = model.grid(2 * l + 1)
-        sample = model.sample_fundamental(grid, realization)
-        zone = brillouin_zone(l, d)
-        axis = zone.midpoint_axis(self.theta_resolution)
-        nodes = [(t,) for t in axis] if d == 1 else [(a, b) for a in axis for b in axis]
+        factory = model.periodic_band_factory(l, realization)
         weight = 1.0 / ((2 * l + 1) * self.theta_resolution) ** d
         count = 0
-        for theta in nodes:
-            w = model.periodic_box_at(l, theta, sample=sample).eigenvalues()
-            count += int(np.sum((w >= 0.0) & (w < self.energy)))
+        for theta in brillouin_zone(l, d).midpoint_nodes(self.theta_resolution):
+            below = factory(theta).count_below([0.0, self.energy])
+            count += int(below[1] - below[0])
         return weight * count
 
 

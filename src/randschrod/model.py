@@ -26,6 +26,7 @@ from .hamiltonian import (
     assemble_periodic_approx,
     box_sites,
     fundamental_sites,
+    periodic_potential,
 )
 
 __all__ = ["AndersonModel", "align_band_edge"]
@@ -65,6 +66,10 @@ class AndersonModel:
             single_site=single_site or SingleSitePotential.box(),
             disorder=DisorderModel(omega_max=omega_max, law=law, master_seed=master_seed),
         )
+
+    def quiet(self) -> "AndersonModel":
+        """The same model with every coupling zero (omega_max = 0)."""
+        return replace(self, disorder=replace(self.disorder, omega_max=0.0))
 
     # -- assembly ---------------------------------------------------------
 
@@ -148,14 +153,20 @@ class AndersonModel:
     def periodic_band_factory(
         self, half_width: int, realization: int = 0, sample: DisorderSample | None = None
     ):
-        """theta in B_l -> H_{omega,l} at that quasimomentum."""
+        """theta in B_l -> H_{omega,l} at that quasimomentum.
+
+        The potential is assembled once; each call assembles only the
+        theta-wrapped H0 and adds it, which gives the same matrix as
+        ``periodic_box_at``.
+        """
         grid = GridSpec.cube(self.dimension, self.points_per_cell, half_width)
         if sample is None:
             sample = self.sample_fundamental(grid, realization)
-        frozen = sample
+        v = periodic_potential(grid, self.single_site, sample)
 
         def factory(theta: Sequence[float]) -> AssembledHamiltonian:
-            return self.periodic_box_at(half_width, theta, sample=frozen)
+            h0 = assemble_h0(grid, self.v0, self.wrap_phases(half_width, theta))
+            return h0.with_potential(v, label="periodic-approx")
 
         return factory
 

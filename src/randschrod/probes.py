@@ -16,6 +16,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .bands import brillouin_zone
 from .hamiltonian import AssembledHamiltonian, BoundaryCondition, GridSpec
 from .hscalc import smoothstep
 from .model import AndersonModel
@@ -226,9 +227,8 @@ def gap_probability(
     window = float(side) ** (-alpha)
     hits = 0
     for m in range(realizations):
-        h = model.anderson_box(side, bc, base_realization + m)
-        evals = h.eigenvalues(upper=window)
-        if np.any(evals >= 0.0):
+        below = model.anderson_box(side, bc, base_realization + m).count_below([0.0, window])
+        if below[1] > below[0]:
             hits += 1
     return GapProbabilityEstimate(
         side=side,
@@ -240,16 +240,6 @@ def gap_probability(
         estimate=hits / realizations,
         interval=wilson_interval(hits, realizations),
     )
-
-
-def _zone_nodes(model: AndersonModel, half_width: int, resolution: int):
-    from .bands import brillouin_zone
-
-    zone = brillouin_zone(half_width, model.dimension)
-    axis = zone.midpoint_axis(resolution)
-    if model.dimension == 1:
-        return [(t,) for t in axis]
-    return [(a, b) for a in axis for b in axis]
 
 
 @dataclass(frozen=True)
@@ -292,21 +282,18 @@ def theta_average_check(
         raise ValueError("energy must be positive")
     d = model.dimension
     l = half_width
-    nodes = _zone_nodes(model, l, theta_resolution)
+    nodes = brillouin_zone(l, d).midpoint_nodes(theta_resolution)
     zone_volume = (2.0 * _zone_extent(l)) ** d
     cells = 2 * l + 1
-    grid = model.grid(cells)
 
     lhs_samples, rhs_samples = [], []
     for m in range(realizations):
-        sample = model.sample_fundamental(grid, base_realization + m)
+        factory = model.periodic_band_factory(l, base_realization + m)
         indicator_sum = 0
         count_sum = 0
         for theta in nodes:
-            evals = model.periodic_box_at(l, theta, sample=sample).eigenvalues(
-                upper=energy
-            )
-            c = int(np.sum(evals >= 0.0))
+            below = factory(theta).count_below([0.0, energy])
+            c = int(below[1] - below[0])
             count_sum += c
             indicator_sum += 1 if c > 0 else 0
         t_nodes = len(nodes)
@@ -391,25 +378,19 @@ def fixed_theta_check(
     c8 = 2.0 * math.pi * l / (2 * l + 1)
     c9 = xi * c8
     enlarged = energy + c9 / l
-    nodes = _zone_nodes(model, l, theta_resolution)
-    cells = 2 * l + 1
-    grid = model.grid(cells)
+    nodes = brillouin_zone(l, d).midpoint_nodes(theta_resolution)
 
     hits = 0
     bound_samples = []
     for m in range(realizations):
-        sample = model.sample_fundamental(grid, base_realization + m)
-        evals0 = model.periodic_box_at(l, tuple(theta0), sample=sample).eigenvalues(
-            upper=energy
-        )
-        if np.any(evals0 >= 0.0):
+        factory = model.periodic_band_factory(l, base_realization + m)
+        below = factory(theta0).count_below([0.0, energy])
+        if below[1] > below[0]:
             hits += 1
         count_sum = 0
         for theta in nodes:
-            evals = model.periodic_box_at(l, theta, sample=sample).eigenvalues(
-                upper=enlarged
-            )
-            count_sum += int(np.sum(evals >= 0.0))
+            below = factory(theta).count_below([0.0, enlarged])
+            count_sum += int(below[1] - below[0])
         bound_samples.append(count_sum / len(nodes))
 
     prob = hits / realizations
@@ -592,9 +573,9 @@ def m_regularity_test(
     sup over eps != 0, so a pass is one-sided evidence.
     """
     grid = h_box.grid
-    if len(set(grid.cells)) != 1 or len(set(grid.stretch)) != 1:
-        raise ValueError("regularity test expects a cube with uniform stretch")
-    side = grid.cells[0] * grid.stretch[0]
+    if len(set(grid.cells)) != 1:
+        raise ValueError("regularity test expects a cube")
+    side = grid.cells[0]
     if side < 12 * delta:
         raise ValueError(f"box side {side} < 12 delta = {12 * delta}; ring would "
                          "collide with the core")

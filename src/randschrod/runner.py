@@ -14,7 +14,7 @@ import json
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, is_dataclass, asdict, replace
+from dataclasses import dataclass, is_dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,8 @@ from .hscalc import (
     plateau_function,
 )
 from .ids import (
-    DisorderAverage,
+    IdsCurve,
+    average_ids,
     ids_dirichlet_box,
     ids_difference_experiment,
     ids_periodic_approx,
@@ -45,7 +46,6 @@ from .ids import (
     write_decay_csv,
     write_ids_csv,
 )
-from .model import AndersonModel
 from .probes import (
     combes_thomas_profile,
     fixed_theta_check,
@@ -147,10 +147,6 @@ class ResultEnvelope:
         return bool(self.check.get("passed"))
 
 
-def _quiet(model: AndersonModel) -> AndersonModel:
-    return replace(model, disorder=replace(model.disorder, omega_max=0.0))
-
-
 # ---------------------------------------------------------------------------
 # picklable per-realization workers
 
@@ -162,14 +158,13 @@ class _BrillouinCurveWorker:
         self.energies = np.asarray(energies, dtype=float)
         self.theta_resolution = theta_resolution
 
-    def __call__(self, realization: int) -> np.ndarray:
+    def __call__(self, realization: int) -> IdsCurve:
         grid = self.model.grid(2 * self.half_width + 1)
         sample = self.model.sample_fundamental(grid, realization)
-        curve = ids_periodic_approx(
+        return ids_periodic_approx(
             self.model, sample, self.half_width, self.energies,
             theta_resolution=self.theta_resolution,
         )
-        return curve.values
 
 
 class _DirichletCurveWorker:
@@ -179,11 +174,11 @@ class _DirichletCurveWorker:
         self.energies = np.asarray(energies, dtype=float)
         self.upper = upper
 
-    def __call__(self, realization: int) -> np.ndarray:
+    def __call__(self, realization: int) -> IdsCurve:
         h = self.model.anderson_box(
             self.cells, BoundaryCondition.dirichlet(), realization
         )
-        return ids_dirichlet_box(h, self.energies, upper=self.upper).values
+        return ids_dirichlet_box(h, self.energies, upper=self.upper)
 
 
 class _HsErrorWorker:
@@ -235,23 +230,13 @@ class _RegularityWorker:
 # experiment bodies: (model, exp, execution, sink, mapper) -> (summary, check)
 
 
-def _mean_stderr(stack: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.stack(stack)
-    mean = arr.mean(axis=0)
-    if arr.shape[0] > 1:
-        stderr = arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
-    else:
-        stderr = np.zeros_like(mean)
-    return mean, stderr
-
-
 def _run_bandstructure(model, exp, execution, sink, mapper):
     hw = exp["half_width"]
     zone = brillouin_zone(hw, model.dimension)
     if hw == 0:
         factory = model.unit_cell_factory()
     else:
-        source = model if exp["realization"] is not None else _quiet(model)
+        source = model if exp["realization"] is not None else model.quiet()
         factory = source.periodic_band_factory(hw, exp["realization"] or 0)
     bands = compute_bands(factory, zone, exp["resolution"], exp["num_bands"])
     write_band_csv(bands, sink.path("bands.csv"), metadata=sink.metadata)
@@ -278,19 +263,19 @@ def _run_ids(model, exp, execution, sink, mapper):
         )
     else:
         worker = _DirichletCurveWorker(model, exp["cells"], energies)
-    mean, stderr = _mean_stderr(mapper(worker, range(m)))
-    write_ids_csv(energies, mean, stderr, sink.path("ids.csv"), metadata=sink.metadata)
+    avg = average_ids(mapper(worker, range(m)))
+    write_ids_csv(energies, avg.mean, avg.stderr, sink.path("ids.csv"), metadata=sink.metadata)
     sink.register("ids.csv")
     sink.write_json(
         "ids.json",
         {
             "method": exp["method"],
             "realizations": m,
-            "mass_at_max": float(mean[-1]),
+            "mass_at_max": float(avg.mean[-1]),
             "energy_range": [float(energies[0]), float(energies[-1])],
         },
     )
-    return f"{exp['method']} IDS over {m} realizations, N(max)={mean[-1]:.6g}", None
+    return f"{exp['method']} IDS over {m} realizations, N(max)={avg.mean[-1]:.6g}", None
 
 
 def _run_lifshitz(model, exp, execution, sink, mapper):
@@ -301,9 +286,8 @@ def _run_lifshitz(model, exp, execution, sink, mapper):
     energies = edge + offsets
     m = execution["realizations"]
     worker = _DirichletCurveWorker(model, exp["cells"], energies, exp["eigen_cutoff"])
-    mean, stderr = _mean_stderr(mapper(worker, range(m)))
-    avg = DisorderAverage(energies, mean, stderr, m)
-    write_ids_csv(energies, mean, stderr, sink.path("ids.csv"), metadata=sink.metadata)
+    avg = average_ids(mapper(worker, range(m)))
+    write_ids_csv(energies, avg.mean, avg.stderr, sink.path("ids.csv"), metadata=sink.metadata)
     sink.register("ids.csv")
 
     window = mass_window(avg, edge, exp["mass_low"], exp["mass_high"])

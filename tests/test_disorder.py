@@ -33,7 +33,8 @@ class TestUniformLaw:
         model = DisorderModel(omega_max=2.0, law="beta", beta_a=2.0,
                               beta_b=3.0, master_seed=7)
         sites = _line(5000)
-        vals = np.array([sample_disorder(model, sites, 0)[s] for s in sites])
+        sample = sample_disorder(model, sites, 0)
+        vals = np.array([sample[s] for s in sites])
         u = betainc(2.0, 3.0, vals / 2.0)
         ks = np.max(np.abs(np.sort(u) - np.arange(1, 5001) / 5001))
         assert ks < 0.03  # 1.36/sqrt(n) ~ 0.019 at the 5% level

@@ -1,5 +1,6 @@
 """Assembly layer checked against closed-form lattice spectra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from randschrod import (
     AndersonModel,
     BoundaryCondition,
+    DisorderModel,
     DisorderSample,
     GridSpec,
     PeriodicPotential,
@@ -17,6 +19,7 @@ from randschrod import (
     assemble_anderson,
     assemble_h0,
     assemble_periodic_approx,
+    sample_disorder,
     validate_single_site,
 )
 from randschrod.hamiltonian import _BoxProfile, _ExponentialProfile
@@ -150,6 +153,72 @@ class TestRandomPotential:
         sample = DisorderSample.constant([(k,) for k in range(-2, 3)], 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             assemble_anderson(h0, bad, sample)
+
+
+def _dense_site_sum(grid, u, sites, coupling):
+    """sum_k coupling(k) u(x - k) over ``sites``, one site at a time in the
+    given order, from the (points x sites) matrix of u."""
+    x = grid.points()
+    bumps = np.stack([u.evaluate(x - np.asarray(k, dtype=float)) for k in sites], axis=1)
+    v = np.zeros(len(x))
+    for j, k in enumerate(sites):
+        v += coupling(k) * bumps[:, j]
+    return v
+
+
+class TestSiteSum:
+    @given(
+        dimension=st.integers(1, 2),
+        points_per_cell=st.integers(1, 3),
+        cells=st.integers(1, 6),
+        profile=st.sampled_from(["box", "exponential"]),
+        diameter=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 6.0]),
+        delta3=st.floats(1.0, 3.0),
+        periodic=st.booleans(),
+        omega_max=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_assembly_matches_the_dense_oracle(
+        self, dimension, points_per_cell, cells, profile, diameter, delta3,
+        periodic, omega_max, seed,
+    ):
+        if profile == "box":
+            u = SingleSitePotential.box(delta1=1.3, core_diameter=diameter)
+        else:
+            u = SingleSitePotential.exponential(core_diameter=diameter, delta3=delta3)
+        if periodic:
+            cells += 1 - cells % 2  # periodic boxes need 2l+1 cells
+        grid = GridSpec.from_cells(dimension, points_per_cell, cells)
+        law = DisorderModel(omega_max=omega_max, master_seed=seed)
+        v0 = PeriodicPotential.zero(dimension, points_per_cell)
+        # every site within the bump's reach of the box, and a few more
+        reach = cells // 2 + math.ceil(u.radius) + 1
+        sites = list(itertools.product(range(-reach, reach + 1), repeat=dimension))
+        if periodic:
+            l = grid.half_width
+            sample = sample_disorder(law, itertools.product(range(-l, l + 1), repeat=dimension), 0)
+            h0 = assemble_h0(grid, v0, BoundaryCondition.with_phases([0.4] * dimension))
+            h = assemble_periodic_approx(h0, u, sample)
+            expected = _dense_site_sum(
+                grid, u, sites, lambda k: sample[tuple((c + l) % cells - l for c in k)]
+            )
+        else:
+            sample = sample_disorder(law, sites, 0)
+            h0 = assemble_h0(grid, v0, BoundaryCondition.dirichlet())
+            h = assemble_anderson(h0, u, sample)
+            expected = _dense_site_sum(grid, u, sites, lambda k: sample[k])
+
+        got, base = h.dense(), h0.dense()
+        off = ~np.eye(h.n, dtype=bool)
+        assert np.array_equal(got[off], base[off])
+        # both sides add their potential to the same H0 diagonal in one step
+        diag, oracle = np.diag(got), np.diag(base) + expected
+        if profile == "box":
+            assert np.array_equal(diag, oracle)
+        else:
+            rounding = np.spacing(np.max(np.abs(oracle)))
+            assert np.max(np.abs(diag - oracle)) <= 1e-13 * np.max(expected) + rounding
 
 
 class TestModelConveniences:
