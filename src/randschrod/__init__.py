@@ -73,7 +73,7 @@ from .probes import (
     theta_average_check,
     wilson_interval,
 )
-from .runner import CheckFailure, ResultEnvelope, VERSION, parallel_map, run
+from .runner import ResultEnvelope, VERSION, parallel_map, run
 
 __version__ = VERSION
 
@@ -85,7 +85,6 @@ __all__ = [
     "BandStructure",
     "BoundaryCondition",
     "BrillouinZone",
-    "CheckFailure",
     "ConfigError",
     "CutoffFunction",
     "DisorderAverage",

@@ -22,7 +22,7 @@ from .config import (
     resolve_config,
     validate_config,
 )
-from .runner import CheckFailure, run
+from .runner import run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -107,9 +107,6 @@ def main(argv=None) -> int:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError,
             RuntimeError, ValueError) as exc:
         # compute-stage rejections (empty fit window, singular probe,

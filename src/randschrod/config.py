@@ -312,7 +312,11 @@ def _validate_experiment(exp: Any, errors: list[str]) -> None:
 
     elif kind == "gap-prob":
         _check_unknown(p, {"kind", "sides", "alpha", "theta0"}, path, errors)
-        _check_int_list(_req(p, "sides", path, errors), f"{path}.sides", errors, lo=2)
+        sides = _req(p, "sides", path, errors)
+        _check_int_list(sides, f"{path}.sides", errors, lo=3)
+        for i, side in enumerate(sides if isinstance(sides, list) else []):
+            if _is_int(side) and side % 2 == 0:
+                errors.append(f"{path}.sides[{i}]: must be odd (2l+1 cells), got {side}")
         _check_num(_req(p, "alpha", path, errors), f"{path}.alpha", errors,
                    lo=0.0, lo_open=True, hi=1.0, hi_open=True)
         t0 = _opt(p, "theta0", None)

@@ -630,9 +630,13 @@ def assemble_anderson(
 ) -> AssembledHamiltonian:
     """Add the Anderson potential sum_k omega_k u(. - k) to an assembled H0.
 
-    Every lattice site whose truncation window meets the box must carry a
-    coupling in ``sample``; a missing site raises KeyError naming it.
+    Requires Dirichlet boundary conditions; wrapped boxes fold their
+    couplings through ``assemble_periodic_approx``.  Every lattice site
+    whose truncation window meets the box must carry a coupling in
+    ``sample``; a missing site raises KeyError naming it.
     """
+    if h0.bc.wraps:
+        raise ValueError("Anderson box assembly needs Dirichlet boundary conditions")
     sites = box_sites(h0.grid, u.radius)
     v = _site_sum(h0.grid, u, [sample.coupling_at(k) for k in sites])
     return h0.with_potential(v, label="anderson")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "ids_dirichlet_box",
     "ids_periodic_approx",
     "average_ids",
+    "mean_stderr",
     "smoothed_functional",
     "ids_difference_experiment",
     "lifshitz_fit",
@@ -188,6 +190,21 @@ def ids_periodic_approx(
     )
 
 
+def mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 0 and its standard error, sample std / sqrt(n) (0 for n = 1).
+
+    A 2-d reduction over axis 0 adds in another order than a 1-d one, so
+    callers reduce each scalar quantity as its own 1-d array.
+    """
+    x = np.asarray(samples, dtype=float)
+    if len(x) < 1:
+        raise ValueError("need at least one sample")
+    mean = x.mean(axis=0)
+    if len(x) == 1:
+        return mean, np.zeros_like(mean)
+    return mean, x.std(axis=0, ddof=1) / math.sqrt(len(x))
+
+
 def average_ids(curves: Sequence[IdsCurve]) -> DisorderAverage:
     """Pointwise mean and standard error over a family of curves."""
     if not curves:
@@ -196,12 +213,7 @@ def average_ids(curves: Sequence[IdsCurve]) -> DisorderAverage:
     for c in curves[1:]:
         if len(c.energies) != len(grid) or not np.allclose(c.energies, grid, atol=0.0):
             raise ValueError("curves were sampled on different energy grids")
-    stack = np.stack([c.values for c in curves])
-    mean = stack.mean(axis=0)
-    if len(curves) > 1:
-        stderr = stack.std(axis=0, ddof=1) / math.sqrt(len(curves))
-    else:
-        stderr = np.zeros_like(mean)
+    mean, stderr = mean_stderr(np.stack([c.values for c in curves]))
     return DisorderAverage(grid.copy(), mean, stderr, len(curves))
 
 
@@ -268,6 +280,14 @@ def _functional_dirichlet(model, g, cells, realization) -> float:
     return float(np.sum(np.asarray(g(evals), dtype=float))) / h.grid.volume
 
 
+def _functional_row(model, g, ref_cells, half_widths, theta_resolution, realization):
+    """[reference, F(l_1), F(l_2), ...] on one realization's coupling field."""
+    return [_functional_dirichlet(model, g, ref_cells, realization)] + [
+        _functional_periodic(model, g, l, theta_resolution, realization)
+        for l in half_widths
+    ]
+
+
 def ids_difference_experiment(
     model: AndersonModel,
     g,
@@ -284,70 +304,40 @@ def ids_difference_experiment(
     (default box half-width: 4x the largest tested l).  Realization m
     reuses one underlying coupling field across every l and the
     reference, so the comparison is between restrictions of a single
-    infinite-volume disorder configuration.  The zero-disorder
-    discrepancy is reported per l as the noise floor of the pipeline.
+    infinite-volume disorder configuration, and the stderr of Delta(l)
+    is that of the paired per-realization differences.  The
+    zero-disorder discrepancy is reported per l as the noise floor of
+    the pipeline.
     """
     if realizations < 2:
         raise ValueError("need at least 2 realizations for a standard error")
     if reference_half_width is None:
         reference_half_width = 4 * max(half_widths)
-    mapper = map_fn if map_fn is not None else (lambda f, xs: [f(x) for x in xs])
-    ref_cells = 2 * reference_half_width + 1
+    args = (g, 2 * reference_half_width + 1, tuple(half_widths), theta_resolution)
+    row = partial(_functional_row, model, *args)
+    rows = np.asarray(list((map_fn or map)(row, range(realizations))))
+    floor = _functional_row(model.quiet(), *args, 0)
+    ref_mean, ref_se = mean_stderr(rows[:, 0])
 
-    ref_vals = mapper(
-        _DirichletFunctional(model, g, ref_cells), list(range(realizations))
-    )
-    ref_mean = float(np.mean(ref_vals))
-    ref_se = float(np.std(ref_vals, ddof=1) / math.sqrt(len(ref_vals))) if len(ref_vals) > 1 else 0.0
-
-    quiet = model.quiet()
-    ref_floor = _functional_dirichlet(quiet, g, ref_cells, 0)
-
-    rows = []
-    for l in half_widths:
-        vals = mapper(
-            _PeriodicFunctional(model, g, l, theta_resolution), list(range(realizations))
-        )
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        floor = abs(_functional_periodic(quiet, g, l, theta_resolution, 0) - ref_floor)
-        rows.append(
+    table = []
+    for j, l in enumerate(half_widths, start=1):
+        mean = float(mean_stderr(rows[:, j])[0])
+        table.append(
             DecayRow(
                 half_width=l,
-                delta=abs(mean - ref_mean),
-                stderr=math.hypot(se, ref_se),
+                delta=float(abs(mean - ref_mean)),
+                stderr=float(mean_stderr(rows[:, j] - rows[:, 0])[1]),
                 mean_functional=mean,
-                noise_floor=floor,
+                noise_floor=abs(floor[j] - floor[0]),
             )
         )
     return DecayTable(
-        rows=tuple(rows),
-        reference_value=ref_mean,
-        reference_stderr=ref_se,
+        rows=tuple(table),
+        reference_value=float(ref_mean),
+        reference_stderr=float(ref_se),
         reference_half_width=reference_half_width,
         realizations=realizations,
     )
-
-
-class _DirichletFunctional:
-    """Picklable realization -> Dirichlet-box functional map."""
-
-    def __init__(self, model, g, cells):
-        self.model, self.g, self.cells = model, g, cells
-
-    def __call__(self, realization: int) -> float:
-        return _functional_dirichlet(self.model, self.g, self.cells, realization)
-
-
-class _PeriodicFunctional:
-    def __init__(self, model, g, half_width, theta_resolution):
-        self.model, self.g = model, g
-        self.half_width, self.theta_resolution = half_width, theta_resolution
-
-    def __call__(self, realization: int) -> float:
-        return _functional_periodic(
-            self.model, self.g, self.half_width, self.theta_resolution, realization
-        )
 
 
 @dataclass(frozen=True)
@@ -470,13 +460,8 @@ def band_edge_mass(
     if half_width < 2:
         raise ValueError("half_width must be >= 2")
     energy = 2.0 * half_width ** (-alpha)
-    mapper = map_fn if map_fn is not None else (lambda f, xs: [f(x) for x in xs])
-    masses = mapper(
-        _EdgeMassSample(model, half_width, energy, theta_resolution),
-        list(range(realizations)),
-    )
-    mean = float(np.mean(masses))
-    se = float(np.std(masses, ddof=1) / math.sqrt(len(masses))) if len(masses) > 1 else 0.0
+    sample = partial(_edge_mass, model, half_width, energy, theta_resolution)
+    mean, se = mean_stderr(list((map_fn or map)(sample, range(realizations))))
     bound = None
     if smoothness_order is not None and bound_constant is not None:
         d = model.dimension
@@ -487,28 +472,27 @@ def band_edge_mass(
         half_width=half_width,
         alpha=alpha,
         energy=energy,
-        mean=mean,
-        stderr=se,
+        mean=float(mean),
+        stderr=float(se),
         realizations=realizations,
         bound=bound,
     )
 
 
-class _EdgeMassSample:
-    def __init__(self, model, half_width, energy, theta_resolution):
-        self.model, self.half_width = model, half_width
-        self.energy, self.theta_resolution = energy, theta_resolution
+def _zone_counts(factory, nodes, energy) -> list[int]:
+    """#{eigenvalues in [0, energy)} of ``factory(theta)`` at each zone node."""
+    counts = []
+    for theta in nodes:
+        below = factory(theta).count_below([0.0, energy])
+        counts.append(int(below[1] - below[0]))
+    return counts
 
-    def __call__(self, realization: int) -> float:
-        model, l = self.model, self.half_width
-        d = model.dimension
-        factory = model.periodic_band_factory(l, realization)
-        weight = 1.0 / ((2 * l + 1) * self.theta_resolution) ** d
-        count = 0
-        for theta in brillouin_zone(l, d).midpoint_nodes(self.theta_resolution):
-            below = factory(theta).count_below([0.0, self.energy])
-            count += int(below[1] - below[0])
-        return weight * count
+
+def _edge_mass(model, half_width, energy, theta_resolution, realization) -> float:
+    nodes = brillouin_zone(half_width, model.dimension).midpoint_nodes(theta_resolution)
+    factory = model.periodic_band_factory(half_width, realization)
+    weight = 1.0 / ((2 * half_width + 1) * theta_resolution) ** model.dimension
+    return weight * sum(_zone_counts(factory, nodes, energy))
 
 
 def write_decay_csv(table: DecayTable, path: str, metadata: dict | None = None) -> None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +20,7 @@ from scipy.sparse.linalg import splu
 from .bands import brillouin_zone
 from .hamiltonian import AssembledHamiltonian, BoundaryCondition, GridSpec
 from .hscalc import smoothstep
+from .ids import _zone_counts, mean_stderr
 from .model import AndersonModel
 
 __all__ = [
@@ -184,6 +186,12 @@ def _zone_extent(side: int) -> float:
     return math.pi / (2 * side + 1)
 
 
+def _gap_hit(model, half_width, bc, window, realization) -> bool:
+    h = model.periodic_box(half_width, bc, realization=realization)
+    below = h.count_below([0.0, window])
+    return bool(below[1] > below[0])
+
+
 def gap_probability(
     model: AndersonModel,
     side: int,
@@ -193,18 +201,20 @@ def gap_probability(
     base_realization: int = 0,
     check_edge: bool = True,
     edge_tolerance: float = 1e-6,
+    map_fn: Callable | None = None,
 ) -> GapProbabilityEstimate:
     """P{an eigenvalue of the wrapped side-l box falls in [0, l^-alpha)}.
 
-    The box has ``side`` cells per axis with periodic boundary
+    The box is the periodic approximation on ``side`` = 2l+1 cells per
+    axis, so couplings fold onto the torus, with periodic boundary
     conditions, or theta-boundary conditions when ``theta0`` is given;
     theta0 components are zone points with |theta| <= pi/(2*side+1) and
     translate to a wrap phase of side * theta across the box.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in ]0,1[, got {alpha}")
-    if side < 2:
-        raise ValueError("side must be >= 2")
+    if side < 3 or side % 2 == 0:
+        raise ValueError(f"side must be odd and >= 3, got {side}")
     if check_edge:
         edge = model.band_minimum()
         if abs(edge) > edge_tolerance:
@@ -225,11 +235,8 @@ def gap_probability(
         boundary = "theta(" + ",".join(f"{t:.6g}" for t in theta0) + ")"
 
     window = float(side) ** (-alpha)
-    hits = 0
-    for m in range(realizations):
-        below = model.anderson_box(side, bc, base_realization + m).count_below([0.0, window])
-        if below[1] > below[0]:
-            hits += 1
+    hit = partial(_gap_hit, model, (side - 1) // 2, bc, window)
+    hits = sum((map_fn or map)(hit, range(base_realization, base_realization + realizations)))
     return GapProbabilityEstimate(
         side=side,
         alpha=alpha,
@@ -262,6 +269,12 @@ class ThetaAverageReport:
         return self.lhs <= self.rhs + 2.0 * math.hypot(self.lhs_stderr, self.rhs_stderr)
 
 
+def _theta_average_sample(model, half_width, energy, nodes, realization) -> tuple[int, int]:
+    """(zone nodes with an eigenvalue in [0, E), eigenvalues in [0, E) over all nodes)."""
+    counts = _zone_counts(model.periodic_band_factory(half_width, realization), nodes, energy)
+    return sum(c > 0 for c in counts), sum(counts)
+
+
 def theta_average_check(
     model: AndersonModel,
     half_width: int,
@@ -269,6 +282,7 @@ def theta_average_check(
     realizations: int,
     theta_resolution: int = 8,
     base_realization: int = 0,
+    map_fn: Callable | None = None,
 ) -> ThetaAverageReport:
     """Zone-averaged hit probability against the expected counting mass.
 
@@ -286,33 +300,22 @@ def theta_average_check(
     zone_volume = (2.0 * _zone_extent(l)) ** d
     cells = 2 * l + 1
 
-    lhs_samples, rhs_samples = [], []
-    for m in range(realizations):
-        factory = model.periodic_band_factory(l, base_realization + m)
-        indicator_sum = 0
-        count_sum = 0
-        for theta in nodes:
-            below = factory(theta).count_below([0.0, energy])
-            c = int(below[1] - below[0])
-            count_sum += c
-            indicator_sum += 1 if c > 0 else 0
-        t_nodes = len(nodes)
-        lhs_samples.append(zone_volume * indicator_sum / t_nodes)
-        rhs_samples.append((2 * math.pi) ** d * count_sum / (cells**d * t_nodes))
-
-    lhs = float(np.mean(lhs_samples))
-    rhs = float(np.mean(rhs_samples))
-    lhs_se = float(np.std(lhs_samples, ddof=1) / math.sqrt(realizations)) if realizations > 1 else 0.0
-    rhs_se = float(np.std(rhs_samples, ddof=1) / math.sqrt(realizations)) if realizations > 1 else 0.0
+    sample = partial(_theta_average_sample, model, l, energy, nodes)
+    sums = np.asarray(list((map_fn or map)(
+        sample, range(base_realization, base_realization + realizations)
+    )))
+    t_nodes = len(nodes)
+    lhs, lhs_se = mean_stderr(zone_volume * sums[:, 0] / t_nodes)
+    rhs, rhs_se = mean_stderr((2 * math.pi) ** d * sums[:, 1] / (cells**d * t_nodes))
     return ThetaAverageReport(
         half_width=l,
         energy=energy,
         realizations=realizations,
         theta_resolution=theta_resolution,
-        lhs=lhs,
-        lhs_stderr=lhs_se,
-        rhs=rhs,
-        rhs_stderr=rhs_se,
+        lhs=float(lhs),
+        lhs_stderr=float(lhs_se),
+        rhs=float(rhs),
+        rhs_stderr=float(rhs_se),
     )
 
 
@@ -342,6 +345,16 @@ class FixedThetaReport:
         )
 
 
+def _fixed_theta_sample(
+    model, half_width, energy, theta0, enlarged, nodes, realization
+) -> tuple[bool, int]:
+    """(an eigenvalue in [0, E) at theta0, eigenvalues in [0, E') over the zone nodes)."""
+    factory = model.periodic_band_factory(half_width, realization)
+    return _zone_counts(factory, [theta0], energy)[0] > 0, sum(
+        _zone_counts(factory, nodes, enlarged)
+    )
+
+
 def fixed_theta_check(
     model: AndersonModel,
     half_width: int,
@@ -351,6 +364,7 @@ def fixed_theta_check(
     xi: float,
     theta_resolution: int = 8,
     base_realization: int = 0,
+    map_fn: Callable | None = None,
 ) -> FixedThetaReport:
     """Single-theta hit probability against the Lipschitz-enlarged mass.
 
@@ -380,23 +394,14 @@ def fixed_theta_check(
     enlarged = energy + c9 / l
     nodes = brillouin_zone(l, d).midpoint_nodes(theta_resolution)
 
-    hits = 0
-    bound_samples = []
-    for m in range(realizations):
-        factory = model.periodic_band_factory(l, base_realization + m)
-        below = factory(theta0).count_below([0.0, energy])
-        if below[1] > below[0]:
-            hits += 1
-        count_sum = 0
-        for theta in nodes:
-            below = factory(theta).count_below([0.0, enlarged])
-            count_sum += int(below[1] - below[0])
-        bound_samples.append(count_sum / len(nodes))
-
+    sample = partial(_fixed_theta_sample, model, l, energy, theta0, enlarged, nodes)
+    rows = list((map_fn or map)(
+        sample, range(base_realization, base_realization + realizations)
+    ))
+    hits = sum(hit for hit, _ in rows)
     prob = hits / realizations
     prob_se = math.sqrt(prob * (1 - prob) / realizations)
-    bound = float(np.mean(bound_samples))
-    bound_se = float(np.std(bound_samples, ddof=1) / math.sqrt(realizations)) if realizations > 1 else 0.0
+    bound, bound_se = mean_stderr([count / len(nodes) for _, count in rows])
     return FixedThetaReport(
         half_width=l,
         energy=energy,
@@ -408,8 +413,8 @@ def fixed_theta_check(
         probability=prob,
         interval=wilson_interval(hits, realizations),
         prob_stderr=prob_se,
-        bound=bound,
-        bound_stderr=bound_se,
+        bound=float(bound),
+        bound_stderr=float(bound_se),
     )
 
 

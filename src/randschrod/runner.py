@@ -15,6 +15,7 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass, is_dataclass, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,6 @@ from .probes import (
 )
 
 __all__ = [
-    "CheckFailure",
     "ResultEnvelope",
     "VERSION",
     "parallel_map",
@@ -66,10 +66,6 @@ __all__ = [
 VERSION = "0.1.0"
 
 
-class CheckFailure(Exception):
-    """An inequality or assertion the experiment was testing did not hold."""
-
-
 def parallel_map(threads: int):
     """Order-preserving map; a process pool when threads > 1.
 
@@ -77,12 +73,10 @@ def parallel_map(threads: int):
     order, so reductions downstream see the same sequence regardless of
     the worker count.
     """
-    if threads <= 1:
-        return lambda fn, items: [fn(x) for x in items]
 
     def mapper(fn, items):
         items = list(items)
-        if len(items) <= 1:
+        if threads <= 1 or len(items) <= 1:
             return [fn(x) for x in items]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(threads, len(items))) as pool:
@@ -148,82 +142,41 @@ class ResultEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# picklable per-realization workers
+# per-item workers, bound with functools.partial and run through the mapper
 
 
-class _BrillouinCurveWorker:
-    def __init__(self, model, half_width, energies, theta_resolution):
-        self.model = model
-        self.half_width = half_width
-        self.energies = np.asarray(energies, dtype=float)
-        self.theta_resolution = theta_resolution
-
-    def __call__(self, realization: int) -> IdsCurve:
-        grid = self.model.grid(2 * self.half_width + 1)
-        sample = self.model.sample_fundamental(grid, realization)
-        return ids_periodic_approx(
-            self.model, sample, self.half_width, self.energies,
-            theta_resolution=self.theta_resolution,
-        )
+def _brillouin_curve(model, half_width, energies, theta_resolution, realization) -> IdsCurve:
+    sample = model.sample_fundamental(model.grid(2 * half_width + 1), realization)
+    return ids_periodic_approx(
+        model, sample, half_width, energies, theta_resolution=theta_resolution
+    )
 
 
-class _DirichletCurveWorker:
-    def __init__(self, model, cells, energies, upper=None):
-        self.model = model
-        self.cells = cells
-        self.energies = np.asarray(energies, dtype=float)
-        self.upper = upper
-
-    def __call__(self, realization: int) -> IdsCurve:
-        h = self.model.anderson_box(
-            self.cells, BoundaryCondition.dirichlet(), realization
-        )
-        return ids_dirichlet_box(h, self.energies, upper=self.upper)
+def _dirichlet_curve(model, cells, energies, upper, realization) -> IdsCurve:
+    h = model.anderson_box(cells, BoundaryCondition.dirichlet(), realization)
+    return ids_dirichlet_box(h, energies, upper=upper)
 
 
-class _HsErrorWorker:
+def _hs_error(matrix_dim, f, order, quad, master_seed, refine, index) -> tuple[float, float]:
     """Error of the resolvent-integral functional calculus on one matrix."""
-
-    def __init__(self, matrix_dim, f, order, quad, master_seed, refine):
-        self.matrix_dim = matrix_dim
-        self.f = f
-        self.order = order
-        self.quad = quad
-        self.master_seed = master_seed
-        self.refine = refine
-
-    def __call__(self, index: int) -> tuple[float, float]:
-        rng = np.random.default_rng((self.master_seed, index))
-        b = rng.standard_normal((self.matrix_dim, self.matrix_dim))
-        c = rng.standard_normal((self.matrix_dim, self.matrix_dim))
-        a = b + 1j * c
-        a = 0.5 * (a + a.conj().T)
-        exact = matrix_function_eigh(a, self.f)
-        approx = matrix_function_hs(a, self.f, n=self.order, quad=self.quad)
-        err = float(np.linalg.norm(approx - exact, 2))
-        if not self.refine:
-            return err, math.nan
-        refined = matrix_function_hs(a, self.f, n=self.order, quad=self.quad.refine())
-        return err, float(np.linalg.norm(refined - exact, 2))
+    rng = np.random.default_rng((master_seed, index))
+    b = rng.standard_normal((matrix_dim, matrix_dim))
+    c = rng.standard_normal((matrix_dim, matrix_dim))
+    a = b + 1j * c
+    a = 0.5 * (a + a.conj().T)
+    exact = matrix_function_eigh(a, f)
+    approx = matrix_function_hs(a, f, n=order, quad=quad)
+    err = float(np.linalg.norm(approx - exact, 2))
+    if not refine:
+        return err, math.nan
+    refined = matrix_function_hs(a, f, n=order, quad=quad.refine())
+    return err, float(np.linalg.norm(refined - exact, 2))
 
 
-class _RegularityWorker:
-    def __init__(self, model, side, energy, delta, mass, probes):
-        self.model = model
-        self.side = side
-        self.energy = energy
-        self.delta = delta
-        self.mass = mass
-        self.probes = tuple(probes)
-
-    def __call__(self, realization: int) -> tuple[bool, float, float]:
-        h = self.model.anderson_box(
-            self.side, BoundaryCondition.dirichlet(), realization
-        )
-        res = m_regularity_test(
-            h, self.energy, self.delta, self.mass, eps_probes=self.probes
-        )
-        return res.passed, res.supremum, res.threshold
+def _regularity(model, side, energy, delta, mass, probes, realization):
+    h = model.anderson_box(side, BoundaryCondition.dirichlet(), realization)
+    res = m_regularity_test(h, energy, delta, mass, eps_probes=probes)
+    return res.passed, res.supremum, res.threshold
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +211,11 @@ def _run_ids(model, exp, execution, sink, mapper):
     energies = np.linspace(exp["energy_min"], exp["energy_max"], exp["energy_points"])
     m = execution["realizations"]
     if exp["method"] == "brillouin":
-        worker = _BrillouinCurveWorker(
-            model, exp["half_width"], energies, exp["theta_resolution"]
+        worker = partial(
+            _brillouin_curve, model, exp["half_width"], energies, exp["theta_resolution"]
         )
     else:
-        worker = _DirichletCurveWorker(model, exp["cells"], energies)
+        worker = partial(_dirichlet_curve, model, exp["cells"], energies, None)
     avg = average_ids(mapper(worker, range(m)))
     write_ids_csv(energies, avg.mean, avg.stderr, sink.path("ids.csv"), metadata=sink.metadata)
     sink.register("ids.csv")
@@ -285,7 +238,7 @@ def _run_lifshitz(model, exp, execution, sink, mapper):
     )
     energies = edge + offsets
     m = execution["realizations"]
-    worker = _DirichletCurveWorker(model, exp["cells"], energies, exp["eigen_cutoff"])
+    worker = partial(_dirichlet_curve, model, exp["cells"], energies, exp["eigen_cutoff"])
     avg = average_ids(mapper(worker, range(m)))
     write_ids_csv(energies, avg.mean, avg.stderr, sink.path("ids.csv"), metadata=sink.metadata)
     sink.register("ids.csv")
@@ -336,8 +289,8 @@ def _run_hs_check(model, exp, execution, sink, mapper):
         eps_y=exp["eps_y"],
         scheme=exp["scheme"],
     )
-    worker = _HsErrorWorker(
-        exp["matrix_dim"], f, exp["order"], quad,
+    worker = partial(
+        _hs_error, exp["matrix_dim"], f, exp["order"], quad,
         execution["master_seed"], exp["refine"],
     )
     pairs = mapper(worker, range(exp["matrices"]))
@@ -406,7 +359,9 @@ def _run_ct_decay(model, exp, execution, sink, mapper):
 def _run_gap_prob(model, exp, execution, sink, mapper):
     theta0 = tuple(exp["theta0"]) if exp["theta0"] is not None else None
     estimates = [
-        gap_probability(model, side, exp["alpha"], execution["realizations"], theta0)
+        gap_probability(
+            model, side, exp["alpha"], execution["realizations"], theta0, map_fn=mapper
+        )
         for side in exp["sides"]
     ]
     sink.write_json("gap_prob.json", {"estimates": estimates, "alpha": exp["alpha"]})
@@ -418,7 +373,7 @@ def _run_theta_bounds(model, exp, execution, sink, mapper):
     m = execution["realizations"]
     avg = theta_average_check(
         model, exp["half_width"], exp["energy"], m,
-        theta_resolution=exp["theta_resolution"],
+        theta_resolution=exp["theta_resolution"], map_fn=mapper,
     )
     payload: dict = {"average": avg, "average_passed": avg.passed}
     passed = avg.passed
@@ -426,7 +381,7 @@ def _run_theta_bounds(model, exp, execution, sink, mapper):
     if exp["theta0"] is not None:
         fixed = fixed_theta_check(
             model, exp["half_width"], exp["energy"], tuple(exp["theta0"]), m,
-            exp["xi"], theta_resolution=exp["theta_resolution"],
+            exp["xi"], theta_resolution=exp["theta_resolution"], map_fn=mapper,
         )
         payload["fixed"] = fixed
         payload["fixed_passed"] = fixed.passed
@@ -472,8 +427,8 @@ def _run_msa_schedule(model, exp, execution, sink, mapper):
 
 def _run_m_regularity(model, exp, execution, sink, mapper):
     m = execution["realizations"]
-    worker = _RegularityWorker(
-        model, exp["side"], exp["energy"], exp["delta"], exp["mass"],
+    worker = partial(
+        _regularity, model, exp["side"], exp["energy"], exp["delta"], exp["mass"],
         exp["eps_probes"],
     )
     rows = mapper(worker, range(m))

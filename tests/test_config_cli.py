@@ -40,6 +40,19 @@ def _ids_config():
     }
 
 
+def _gap_prob_config():
+    config = _ids_config()
+    config["experiment"] = {"kind": "gap-prob", "sides": [5, 7], "alpha": 0.5}
+    return config
+
+
+def _theta_bounds_config():
+    config = _ids_config()
+    config["experiment"] = {"kind": "theta-bounds", "half_width": 2, "energy": 0.25,
+                            "theta_resolution": 3, "theta0": [0.05], "xi": 2.0}
+    return config
+
+
 def _msa_config(zeta=1.5):
     return {
         "model": {
@@ -114,6 +127,14 @@ class TestValidation:
         assert len(errors) == 1
         assert errors[0].startswith("experiment.alpha")
         assert "1.5" in errors[0]
+
+    def test_even_gap_prob_side_is_refused(self):
+        config = _ids_config()
+        config["experiment"] = {"kind": "gap-prob", "sides": [5, 8], "alpha": 0.5}
+        errors = validate_config(config)
+        assert len(errors) == 1
+        assert errors[0].startswith("experiment.sides[1]")
+        assert "odd" in errors[0]
 
     def test_sampled_kind_requires_realizations(self):
         config = _ids_config()
@@ -384,19 +405,24 @@ class TestCli:
         assert main(["theta-bounds", "--config", path, "--out", str(out)]) == 4
         assert "check failed" in capsys.readouterr().err
 
-    def _run_and_read(self, tmp_path, name, threads):
-        path = _write(tmp_path, _ids_config(), name=f"{name}.yaml")
+    def _run_and_read(self, tmp_path, name, threads, config=None):
+        config = config or _ids_config()
+        kind = config["experiment"]["kind"]
+        path = _write(tmp_path, config, name=f"{name}.yaml")
         out = tmp_path / name
-        code = main(["ids", "--config", path, "--out", str(out),
+        code = main([kind, "--config", path, "--out", str(out),
                      "--threads", str(threads)])
         assert code == 0
         results = list(out.glob("*/result.json"))
         assert len(results) == 1
         return json.loads(results[0].read_text(encoding="ascii"))
 
-    def test_thread_count_does_not_change_payloads(self, tmp_path, capsys):
-        serial = self._run_and_read(tmp_path, "serial", threads=1)
-        threaded = self._run_and_read(tmp_path, "threaded", threads=2)
+    @pytest.mark.parametrize("config", [_ids_config(), _gap_prob_config(),
+                                        _theta_bounds_config()],
+                             ids=["ids", "gap-prob", "theta-bounds"])
+    def test_thread_count_does_not_change_payloads(self, tmp_path, capsys, config):
+        serial = self._run_and_read(tmp_path, "serial", threads=1, config=config)
+        threaded = self._run_and_read(tmp_path, "threaded", threads=2, config=config)
 
         assert serial["payloads"] == threaded["payloads"]
         assert serial["config_hash"] == threaded["config_hash"]

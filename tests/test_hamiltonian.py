@@ -143,6 +143,22 @@ class TestRandomPotential:
         with pytest.raises(KeyError, match=r"-3"):
             assemble_anderson(h0, SingleSitePotential.box(), sample)
 
+    def test_each_boundary_kind_has_one_assembly_path(self):
+        # only the periodic approximation folds couplings onto the torus,
+        # so the Anderson assembly refuses wrapped boxes and the periodic
+        # approximation refuses Dirichlet ones
+        grid = GridSpec.cube(1, 1, 2)
+        v0 = PeriodicPotential.zero(1, 1)
+        u = SingleSitePotential.box()
+        sample = DisorderSample.constant([(k,) for k in range(-3, 4)], 1.0)
+        for bc in (BoundaryCondition.periodic(), BoundaryCondition.with_phases([0.3])):
+            with pytest.raises(ValueError, match="Dirichlet"):
+                assemble_anderson(assemble_h0(grid, v0, bc), u, sample)
+        with pytest.raises(ValueError, match="Periodic or Theta"):
+            assemble_periodic_approx(
+                assemble_h0(grid, v0, BoundaryCondition.dirichlet()), u, sample
+            )
+
     def test_negative_profile_is_rejected_at_assembly(self):
         grid = GridSpec.cube(1, 1, 1)
         h0 = assemble_h0(grid, PeriodicPotential.zero(1, 1), BoundaryCondition.dirichlet())

@@ -23,6 +23,7 @@ from randschrod import (
     smoothed_functional,
 )
 from randschrod.hscalc import plateau_function
+from randschrod.ids import _functional_dirichlet, _functional_periodic
 
 
 def _dense_count_oracle(h, energies):
@@ -273,6 +274,27 @@ class TestDifferenceExperiment:
         )
         row = table.rows[0]
         assert abs(row.delta - row.noise_floor) <= 2.0 * row.stderr
+
+    def test_stderr_is_that_of_the_paired_differences(self):
+        # realization m shares one coupling field between the reference and
+        # every l, so the error bar of delta is the spread of the
+        # per-realization differences F_l - F_ref, not hypot of two stderrs
+        model = AndersonModel.free(omega_max=0.5, master_seed=9)
+        g = plateau_function(0.5, 4)
+        m, ref_l = 6, 10
+        table = ids_difference_experiment(
+            model, g, [3, 5], realizations=m, reference_half_width=ref_l,
+            theta_resolution=4,
+        )
+        ref = np.array([_functional_dirichlet(model, g, 2 * ref_l + 1, r) for r in range(m)])
+        for row in table.rows:
+            per_l = np.array(
+                [_functional_periodic(model, g, row.half_width, 4, r) for r in range(m)]
+            )
+            diffs = per_l - ref
+            assert row.stderr == pytest.approx(np.std(diffs, ddof=1) / math.sqrt(m), rel=1e-12)
+            assert row.mean_functional == pytest.approx(np.mean(per_l), rel=1e-12)
+            assert row.delta == pytest.approx(abs(np.mean(diffs)), rel=1e-9)
 
 
 class TestMassWindow:

@@ -142,6 +142,27 @@ class TestGapProbability:
             gap_probability(model, side=5, alpha=0.5, realizations=2,
                             theta0=(1.0,))
 
+    def test_even_side_is_refused(self):
+        model = AndersonModel.free(omega_max=0.0)
+        with pytest.raises(ValueError, match="odd"):
+            gap_probability(model, side=6, alpha=0.5, realizations=2)
+
+    def test_wrapped_box_folds_couplings_onto_the_torus(self):
+        # an exponential bump reaches past the box; the hit rate must be
+        # that of the periodic approximation, whose couplings fold onto
+        # the ring, checked against its dense spectrum
+        u = SingleSitePotential.exponential(delta3=0.7)
+        model = AndersonModel.free(omega_max=0.2, master_seed=4, single_site=u)
+        side, m = 9, 20
+        for alpha in (0.3, 0.5):
+            window = side ** -alpha
+            oracle = 0
+            for r in range(m):
+                h = model.periodic_box(4, BoundaryCondition.periodic(), realization=r)
+                evals = np.linalg.eigvalsh(h.dense())
+                oracle += bool(np.any((evals >= 0.0) & (evals < window)))
+            assert gap_probability(model, side, alpha, m).hits == oracle
+
     def test_misaligned_band_edge_is_rejected(self):
         model = AndersonModel(
             dimension=1, points_per_cell=1,
