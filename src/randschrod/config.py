@@ -53,10 +53,6 @@ def _req(block: dict, key: str, path: str, errors: list[str]) -> Any:
     return block[key]
 
 
-def _opt(block: dict, key: str, default):
-    return block.get(key, default)
-
-
 def _check_unknown(block: dict, allowed: set[str], path: str, errors: list[str]) -> None:
     for key in block:
         if key not in allowed:
@@ -148,6 +144,7 @@ def _validate_model(model: Any, errors: list[str]) -> None:
                 _check_num(_req(u, "diameter", "model.single_site", errors),
                            "model.single_site.diameter", errors, lo=0.0, lo_open=True)
             elif kind == "exponential":
+                u = {**_SINGLE_SITE_DEFAULTS["exponential"], **u}
                 _check_unknown(u, {"kind", "strength", "diameter", "decay_rate",
                                    "tail_floor"}, "model.single_site", errors)
                 _check_num(_req(u, "strength", "model.single_site", errors),
@@ -156,7 +153,7 @@ def _validate_model(model: Any, errors: list[str]) -> None:
                            "model.single_site.diameter", errors, lo=0.0, lo_open=True)
                 _check_num(_req(u, "decay_rate", "model.single_site", errors),
                            "model.single_site.decay_rate", errors, lo=0.0, lo_open=True)
-                _check_num(_opt(u, "tail_floor", 1e-10),
+                _check_num(u["tail_floor"],
                            "model.single_site.tail_floor", errors, lo=0.0, lo_open=True)
             elif kind is not None:
                 errors.append(f"model.single_site.kind: unknown kind {kind!r}")
@@ -166,7 +163,8 @@ def _validate_model(model: Any, errors: list[str]) -> None:
         if not isinstance(dis, dict):
             errors.append("model.disorder: expected a mapping")
         else:
-            law = _opt(dis, "law", "uniform")
+            dis = {**_DISORDER_DEFAULTS, **dis}
+            law = dis["law"]
             if law not in ("uniform", "beta"):
                 errors.append(f"model.disorder.law: must be uniform or beta, got {law!r}")
             allowed = {"law", "omega_max"} | ({"a", "b"} if law == "beta" else set())
@@ -179,7 +177,7 @@ def _validate_model(model: Any, errors: list[str]) -> None:
                 _check_num(_req(dis, "b", "model.disorder", errors),
                            "model.disorder.b", errors, lo=1.0)
 
-    align = _opt(model, "align_edge", False)
+    align = {**_MODEL_DEFAULTS, **model}["align_edge"]
     if not isinstance(align, bool):
         errors.append(f"model.align_edge: expected a boolean, got {align!r}")
 
@@ -187,7 +185,7 @@ def _validate_model(model: Any, errors: list[str]) -> None:
 def _plateau_checks(params: dict, path: str, errors: list[str]) -> None:
     _check_num(_req(params, "plateau_energy", path, errors),
                f"{path}.plateau_energy", errors, lo=0.0, lo_open=True)
-    _check_int(_opt(params, "plateau_order", 4), f"{path}.plateau_order", errors, lo=1)
+    _check_int(params["plateau_order"], f"{path}.plateau_order", errors, lo=1)
 
 
 # per-kind parameter schemas: key -> (validator, required)
@@ -205,30 +203,30 @@ def _validate_experiment(exp: Any, errors: list[str]) -> None:
         )
         return
     path = "experiment"
-    p = exp
+    p = {**_EXPERIMENT_DEFAULTS[kind], **exp}
 
     if kind == "bandstructure":
         _check_unknown(p, {"kind", "half_width", "resolution", "num_bands",
                            "realization", "check_regularity"}, path, errors)
-        _check_int(_opt(p, "half_width", 0), f"{path}.half_width", errors, lo=0)
-        _check_int(_opt(p, "resolution", 65), f"{path}.resolution", errors, lo=3)
-        _check_int(_opt(p, "num_bands", 1), f"{path}.num_bands", errors, lo=1)
-        r = _opt(p, "realization", None)
+        _check_int(p["half_width"], f"{path}.half_width", errors, lo=0)
+        _check_int(p["resolution"], f"{path}.resolution", errors, lo=3)
+        _check_int(p["num_bands"], f"{path}.num_bands", errors, lo=1)
+        r = p["realization"]
         if r is not None:
             _check_int(r, f"{path}.realization", errors, lo=0)
-        if not isinstance(_opt(p, "check_regularity", False), bool):
+        if not isinstance(p["check_regularity"], bool):
             errors.append(f"{path}.check_regularity: expected a boolean")
 
     elif kind == "ids":
         _check_unknown(p, {"kind", "method", "half_width", "cells", "theta_resolution",
                            "energy_min", "energy_max", "energy_points"}, path, errors)
-        method = _opt(p, "method", "brillouin")
+        method = p["method"]
         if method not in ("brillouin", "dirichlet"):
             errors.append(f"{path}.method: must be brillouin or dirichlet, got {method!r}")
         if method == "brillouin":
             _check_int(_req(p, "half_width", path, errors), f"{path}.half_width",
                        errors, lo=1)
-            _check_int(_opt(p, "theta_resolution", 8), f"{path}.theta_resolution",
+            _check_int(p["theta_resolution"], f"{path}.theta_resolution",
                        errors, lo=1)
         else:
             _check_int(_req(p, "cells", path, errors), f"{path}.cells", errors, lo=2)
@@ -237,28 +235,28 @@ def _validate_experiment(exp: Any, errors: list[str]) -> None:
         if (_is_num(p.get("energy_min")) and _is_num(p.get("energy_max"))
                 and p["energy_min"] >= p["energy_max"]):
             errors.append(f"{path}.energy_min: must be below energy_max")
-        _check_int(_opt(p, "energy_points", 201), f"{path}.energy_points", errors, lo=2)
+        _check_int(p["energy_points"], f"{path}.energy_points", errors, lo=2)
 
     elif kind == "lifshitz":
         _check_unknown(p, {"kind", "cells", "energy_min", "energy_max", "energy_points",
                            "mass_low", "mass_high", "edge", "eigen_cutoff"}, path, errors)
         _check_int(_req(p, "cells", path, errors), f"{path}.cells", errors, lo=10)
-        _check_num(_opt(p, "edge", 0.0), f"{path}.edge", errors)
-        _check_num(_opt(p, "mass_low", 1e-4), f"{path}.mass_low", errors,
+        _check_num(p["edge"], f"{path}.edge", errors)
+        _check_num(p["mass_low"], f"{path}.mass_low", errors,
                    lo=0.0, lo_open=True)
-        _check_num(_opt(p, "mass_high", 1e-1), f"{path}.mass_high", errors,
+        _check_num(p["mass_high"], f"{path}.mass_high", errors,
                    lo=0.0, lo_open=True, hi=0.5, hi_open=True)
         e_lo = _req(p, "energy_min", path, errors)
         e_hi = _req(p, "energy_max", path, errors)
         _check_num(e_lo, f"{path}.energy_min", errors)
         _check_num(e_hi, f"{path}.energy_max", errors)
-        edge = _opt(p, "edge", 0.0)
+        edge = p["edge"]
         if _is_num(e_lo) and _is_num(edge) and e_lo <= edge:
             errors.append(f"{path}.energy_min: must lie above the edge {edge}")
         if _is_num(e_lo) and _is_num(e_hi) and e_lo >= e_hi:
             errors.append(f"{path}.energy_min: must be below energy_max")
-        _check_int(_opt(p, "energy_points", 400), f"{path}.energy_points", errors, lo=10)
-        ec = _opt(p, "eigen_cutoff", None)
+        _check_int(p["energy_points"], f"{path}.energy_points", errors, lo=10)
+        ec = p["eigen_cutoff"]
         if ec is not None:
             _check_num(ec, f"{path}.eigen_cutoff", errors)
 
@@ -268,10 +266,10 @@ def _validate_experiment(exp: Any, errors: list[str]) -> None:
                        path, errors)
         _check_int_list(_req(p, "half_widths", path, errors), f"{path}.half_widths",
                         errors, lo=1)
-        rhw = _opt(p, "reference_half_width", None)
+        rhw = p["reference_half_width"]
         if rhw is not None:
             _check_int(rhw, f"{path}.reference_half_width", errors, lo=1)
-        _check_int(_opt(p, "theta_resolution", 8), f"{path}.theta_resolution",
+        _check_int(p["theta_resolution"], f"{path}.theta_resolution",
                    errors, lo=1)
         _plateau_checks(p, path, errors)
 
@@ -280,21 +278,21 @@ def _validate_experiment(exp: Any, errors: list[str]) -> None:
                            "y_panels", "y_subnodes", "eps_y", "scheme", "refine",
                            "plateau_energy", "plateau_order"},
                        path, errors)
-        _check_int(_opt(p, "matrix_dim", 20), f"{path}.matrix_dim", errors, lo=2)
-        _check_int(_opt(p, "matrices", 25), f"{path}.matrices", errors, lo=1)
-        order = _opt(p, "order", 4)
+        _check_int(p["matrix_dim"], f"{path}.matrix_dim", errors, lo=2)
+        _check_int(p["matrices"], f"{path}.matrices", errors, lo=1)
+        order = p["order"]
         _check_int(order, f"{path}.order", errors, lo=1)
-        _check_int(_opt(p, "x_points", 128), f"{path}.x_points", errors, lo=8)
-        _check_int(_opt(p, "y_panels", 18), f"{path}.y_panels", errors, lo=1)
-        _check_int(_opt(p, "y_subnodes", 6), f"{path}.y_subnodes", errors, lo=1)
-        eps_y = _opt(p, "eps_y", 0.0)
+        _check_int(p["x_points"], f"{path}.x_points", errors, lo=8)
+        _check_int(p["y_panels"], f"{path}.y_panels", errors, lo=1)
+        _check_int(p["y_subnodes"], f"{path}.y_subnodes", errors, lo=1)
+        eps_y = p["eps_y"]
         _check_num(eps_y, f"{path}.eps_y", errors, lo=0.0)
         if _is_num(eps_y) and eps_y == 0.0 and _is_int(order) and order < 2:
             errors.append(f"{path}.order: must be >= 2 when eps_y = 0")
-        scheme = _opt(p, "scheme", "midpoint")
+        scheme = p["scheme"]
         if scheme not in ("midpoint", "gauss"):
             errors.append(f"{path}.scheme: must be midpoint or gauss, got {scheme!r}")
-        if not isinstance(_opt(p, "refine", True), bool):
+        if not isinstance(p["refine"], bool):
             errors.append(f"{path}.refine: expected a boolean")
         _plateau_checks(p, path, errors)
 
@@ -303,10 +301,10 @@ def _validate_experiment(exp: Any, errors: list[str]) -> None:
                            "realization"}, path, errors)
         _check_int(_req(p, "cells", path, errors), f"{path}.cells", errors, lo=3)
         _check_num(_req(p, "z_real", path, errors), f"{path}.z_real", errors)
-        _check_num(_opt(p, "z_imag", 0.0), f"{path}.z_imag", errors)
+        _check_num(p["z_imag"], f"{path}.z_imag", errors)
         _check_int(_req(p, "max_distance", path, errors), f"{path}.max_distance",
                    errors, lo=1)
-        r = _opt(p, "realization", None)
+        r = p["realization"]
         if r is not None:
             _check_int(r, f"{path}.realization", errors, lo=0)
 
@@ -319,7 +317,7 @@ def _validate_experiment(exp: Any, errors: list[str]) -> None:
                 errors.append(f"{path}.sides[{i}]: must be odd (2l+1 cells), got {side}")
         _check_num(_req(p, "alpha", path, errors), f"{path}.alpha", errors,
                    lo=0.0, lo_open=True, hi=1.0, hi_open=True)
-        t0 = _opt(p, "theta0", None)
+        t0 = p["theta0"]
         if t0 is not None:
             if not isinstance(t0, list) or not all(_is_num(t) for t in t0):
                 errors.append(f"{path}.theta0: expected a list of numbers")
@@ -331,9 +329,9 @@ def _validate_experiment(exp: Any, errors: list[str]) -> None:
                    errors, lo=1)
         _check_num(_req(p, "energy", path, errors), f"{path}.energy", errors,
                    lo=0.0, lo_open=True, hi=1.0, hi_open=True)
-        _check_int(_opt(p, "theta_resolution", 8), f"{path}.theta_resolution",
+        _check_int(p["theta_resolution"], f"{path}.theta_resolution",
                    errors, lo=1)
-        t0 = _opt(p, "theta0", None)
+        t0 = p["theta0"]
         if t0 is not None:
             if not isinstance(t0, list) or not all(_is_num(t) for t in t0):
                 errors.append(f"{path}.theta0: expected a list of numbers")
@@ -352,25 +350,25 @@ def _validate_experiment(exp: Any, errors: list[str]) -> None:
         zeta = _req(p, "zeta", path, errors)
         if zeta is not None and (not _is_num(zeta) or not 1.0 < zeta < 2.0):
             errors.append(f"{path}.zeta: must lie in ]1,2[, got {zeta!r}")
-        _check_int(_opt(p, "steps", 10), f"{path}.steps", errors, lo=1)
+        _check_int(p["steps"], f"{path}.steps", errors, lo=1)
         for c in ("c1", "c2"):
-            _check_num(_opt(p, c, 0.0), f"{path}.{c}", errors, lo=0.0)
-        _check_num(_opt(p, "c3", 1.0), f"{path}.c3", errors, lo=0.0, lo_open=True)
-        _check_num(_opt(p, "xi", 2.0), f"{path}.xi", errors, lo=0.0, lo_open=True)
+            _check_num(p[c], f"{path}.{c}", errors, lo=0.0)
+        _check_num(p["c3"], f"{path}.c3", errors, lo=0.0, lo_open=True)
+        _check_num(p["xi"], f"{path}.xi", errors, lo=0.0, lo_open=True)
 
     elif kind == "m-regularity":
         _check_unknown(p, {"kind", "side", "delta", "mass", "energy", "eps_probes"},
                        path, errors)
         side = _req(p, "side", path, errors)
         _check_int(side, f"{path}.side", errors, lo=6)
-        delta = _opt(p, "delta", 2.0)
+        delta = p["delta"]
         _check_num(delta, f"{path}.delta", errors, lo=0.0, lo_open=True)
         if _is_int(side) and _is_num(delta) and side < 12 * delta:
             errors.append(f"{path}.side: must be >= 12 * delta = {12 * delta}")
         _check_num(_req(p, "mass", path, errors), f"{path}.mass", errors,
                    lo=0.0, lo_open=True)
         _check_num(_req(p, "energy", path, errors), f"{path}.energy", errors)
-        probes = _opt(p, "eps_probes", [1e-1, 1e-2, 1e-3, 1e-4])
+        probes = p["eps_probes"]
         if not isinstance(probes, list) or not all(_is_num(e) for e in probes):
             errors.append(f"{path}.eps_probes: expected a list of numbers")
 
@@ -406,8 +404,8 @@ def _validate_execution(block: Any, kind: str | None, errors: list[str]) -> None
         _check_int(m, "execution.realizations", errors, lo=lo)
     elif "realizations" in block:
         _check_int(block["realizations"], "execution.realizations", errors, lo=1)
-    _check_int(_opt(block, "threads", 1), "execution.threads", errors, lo=1)
-    out = _opt(block, "output_dir", "runs")
+    _check_int(block.get("threads"), "execution.threads", errors, lo=1)
+    out = {**_EXECUTION_DEFAULTS, **block}["output_dir"]
     if not isinstance(out, str) or not out:
         errors.append("execution.output_dir: expected a nonempty string")
 
@@ -433,6 +431,8 @@ def validate_config(config: Any) -> list[str]:
     return errors
 
 
+# Defaults of optional keys: validation checks them and resolve_config
+# writes them into the resolved config.
 _EXECUTION_DEFAULTS = {"output_dir": "runs"}
 _MODEL_DEFAULTS = {"align_edge": False}
 
@@ -543,7 +543,7 @@ def build_model(resolved: dict) -> AndersonModel:
             float(u_spec["strength"]),
             float(u_spec["diameter"]),
             float(u_spec["decay_rate"]),
-            tail_floor=float(u_spec.get("tail_floor", 1e-10)),
+            tail_floor=float(u_spec["tail_floor"]),
         )
 
     dis = m["disorder"]

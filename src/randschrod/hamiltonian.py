@@ -32,7 +32,6 @@ __all__ = [
     "assemble_anderson",
     "assemble_periodic_approx",
     "validate_single_site",
-    "periodic_potential",
     "box_sites",
     "fundamental_sites",
 ]
@@ -196,17 +195,6 @@ class PeriodicPotential:
     def zero(dimension: int, points_per_cell: int) -> "PeriodicPotential":
         shape = (points_per_cell,) * dimension
         return PeriodicPotential(dimension, points_per_cell, np.zeros(shape))
-
-    @staticmethod
-    def from_callable(
-        dimension: int, points_per_cell: int, func: Callable[[np.ndarray], np.ndarray]
-    ) -> "PeriodicPotential":
-        """Sample a callable V0(x), x of shape (m, d), on one unit cell."""
-        offs = _cell_offsets(points_per_cell)
-        grids = np.meshgrid(*([offs] * dimension), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        vals = np.asarray(func(pts), dtype=float).reshape((points_per_cell,) * dimension)
-        return PeriodicPotential(dimension, points_per_cell, vals)
 
     @staticmethod
     def decomposable(
@@ -458,6 +446,32 @@ class AssembledHamiltonian:
             w = w[w < upper]
         return w
 
+    def spectra_under(self, bcs: Sequence[BoundaryCondition]) -> np.ndarray:
+        """Sorted eigenvalues of this Theta box under each Theta condition, one row each.
+
+        Only the wrap-bond entries of the dense matrix are rewritten, so
+        row i is ``eigenvalues()`` of the box assembled under ``bcs[i]``.
+        Needs at least 3 grid points per axis, where no wrap bond
+        coincides with the diagonal or an interior bond.
+        """
+        if self.bc.kind != "theta" or min(self.grid.shape) < 3:
+            raise ValueError(
+                f"wrap phases of a {self.grid.shape} {self.bc.kind} box cannot be rewritten"
+            )
+        dense = self.dense()
+        bonds = _wrap_bonds(self.grid)
+        rows = []
+        for bc in bcs:
+            if bc.kind != "theta" or len(bc.theta) != self.grid.dimension:
+                raise ValueError(f"need {self.grid.dimension} theta phases, got {bc}")
+            for (src, dst, w), phase in zip(bonds, bc.theta):
+                hop = _wrap_hop(w, phase)
+                # assembly adds 0 to every stored entry, which turns -0.0 into +0.0
+                dense[src, dst] = hop + 0.0
+                dense[dst, src] = np.conj(hop) + 0.0
+            rows.append(scipy.linalg.eigvalsh(dense))
+        return np.array(rows)
+
     def with_matrix(self, matrix: scipy.sparse.csr_matrix, label: str) -> "AssembledHamiltonian":
         return AssembledHamiltonian(matrix, self.grid, self.bc, label)
 
@@ -486,10 +500,30 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.
     return count
 
 
+def _wrap_bonds(grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Per axis, the bonds that wrap around the box: (sources, targets, w).
+
+    Each source sits on the last grid plane along the axis and its target
+    on the first; w = 1/h^2 is the hopping weight, so under Theta(theta)
+    the entry (source, target) is ``_wrap_hop(w, theta_axis)``.  With
+    fewer than 3 points along an axis a wrap bond lands on the diagonal
+    or on an interior bond.
+    """
+    idx = np.arange(grid.n_points).reshape(grid.shape)
+    return [
+        (np.take(idx, -1, axis=axis).ravel(), np.take(idx, 0, axis=axis).ravel(),
+         1.0 / (h * h))
+        for axis, h in enumerate(grid.mesh)
+    ]
+
+
+def _wrap_hop(w: float, phase: float) -> complex:
+    return -w * np.exp(1j * phase)
+
+
 def _laplacian(grid: GridSpec, bc: BoundaryCondition) -> scipy.sparse.csr_matrix:
-    shape = grid.shape
     n = grid.n_points
-    idx = np.arange(n).reshape(shape)
+    idx = np.arange(n).reshape(grid.shape)
     is_complex = bc.kind == "theta"
     dtype = complex if is_complex else float
 
@@ -498,35 +532,21 @@ def _laplacian(grid: GridSpec, bc: BoundaryCondition) -> scipy.sparse.csr_matrix
     vals: list[np.ndarray] = []
     diag = np.zeros(n)
 
-    for axis in range(grid.dimension):
-        h = grid.mesh[axis]
-        w = 1.0 / (h * h)
+    for axis, (wrap_src, wrap_dst, w) in enumerate(_wrap_bonds(grid)):
         diag += 2.0 * w
-
-        src = idx
-        dst = np.roll(idx, -1, axis=axis)
-        interior = np.ones(shape, dtype=bool)
-        last = [slice(None)] * grid.dimension
-        last[axis] = slice(shape[axis] - 1, shape[axis])
-        interior[tuple(last)] = False
-
-        a = src[interior].ravel()
-        b = dst[interior].ravel()
+        length = grid.shape[axis]
+        a = np.take(idx, range(length - 1), axis=axis).ravel()
+        b = np.take(idx, range(1, length), axis=axis).ravel()
         hop = np.full(a.shape, -w, dtype=dtype)
         rows += [a, b]
         cols += [b, a]
         vals += [hop, hop.conj()]
 
         if bc.wraps:
-            a = src[~interior].ravel()
-            b = dst[~interior].ravel()
-            if is_complex:
-                phase = np.exp(1j * bc.theta[axis])
-            else:
-                phase = 1.0
-            wrap = np.full(a.shape, -w * phase, dtype=dtype)
-            rows += [a, b]
-            cols += [b, a]
+            wrap = np.full(wrap_src.shape, _wrap_hop(w, bc.theta[axis]) if is_complex else -w,
+                           dtype=dtype)
+            rows += [wrap_src, wrap_dst]
+            cols += [wrap_dst, wrap_src]
             vals += [wrap, np.conj(wrap)]
 
     mat = scipy.sparse.coo_matrix(
@@ -642,33 +662,25 @@ def assemble_anderson(
     return h0.with_potential(v, label="anderson")
 
 
-def periodic_potential(
-    grid: GridSpec, u: SingleSitePotential, sample: DisorderSample
-) -> np.ndarray:
-    """Potential of the periodic approximation on a (2l+1)^d cube box.
-
-    The coupling at site k is the sampled value at the folded site
-    k mod (2l+1)Z^d (representative in {-l..l}^d), so only the fundamental
-    cell must be sampled.  Tails of u that cross the box boundary wrap
-    around the torus through the extended site sum.
-    """
-    l = grid.half_width
-    period = 2 * l + 1
-    sites = box_sites(grid, u.radius)
-    folded = [tuple((k + l) % period - l for k in site) for site in sites]
-    return _site_sum(grid, u, [sample.coupling_at(k) for k in folded])
-
-
 def assemble_periodic_approx(
     h0: AssembledHamiltonian,
     u: SingleSitePotential,
     sample: DisorderSample,
 ) -> AssembledHamiltonian:
-    """Periodic approximation: H0 plus ``periodic_potential``.
+    """Periodic approximation H_{omega,l}: H0 on a (2l+1)^d cube box plus
+    the potential of the folded couplings.
 
-    Requires a wrapping boundary condition (Periodic or Theta) and an odd
-    cell count.
+    The coupling at site k is the sampled value at the folded site
+    k mod (2l+1)Z^d (representative in {-l..l}^d), so only the fundamental
+    cell must be sampled.  Tails of u that cross the box boundary wrap
+    around the torus through the extended site sum.  Requires a wrapping
+    boundary condition (Periodic or Theta).
     """
     if not h0.bc.wraps:
         raise ValueError("periodic approximation needs Periodic or Theta boundary conditions")
-    return h0.with_potential(periodic_potential(h0.grid, u, sample), label="periodic-approx")
+    l = h0.grid.half_width
+    period = 2 * l + 1
+    sites = box_sites(h0.grid, u.radius)
+    folded = [tuple((k + l) % period - l for k in site) for site in sites]
+    v = _site_sum(h0.grid, u, [sample.coupling_at(k) for k in folded])
+    return h0.with_potential(v, label="periodic-approx")

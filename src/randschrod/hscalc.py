@@ -105,7 +105,7 @@ class SmoothCompactFunction:
         a, b = self.support
         return max(abs(a), abs(b))
 
-    def _eval_pieces(self, pieces: Sequence[Polynomial], x) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -116,15 +116,12 @@ class SmoothCompactFunction:
             xi = x[inside]
             idx = _piece_index(self.breakpoints, xi)
             vals = np.empty_like(xi)
-            for i, poly in enumerate(pieces):
+            for i, poly in enumerate(self.pieces):
                 m = idx == i
                 if np.any(m):
                     vals[m] = poly(xi[m])
             out[inside] = vals
         return out[0] if scalar else out
-
-    def __call__(self, x):
-        return self._eval_pieces(self.pieces, x)
 
     def derivative(self, r: int = 1) -> "SmoothCompactFunction":
         if r < 0:
@@ -134,9 +131,6 @@ class SmoothCompactFunction:
         pieces = tuple(p.deriv(r) for p in self.pieces)
         return replace(self, pieces=pieces, smoothness=self.smoothness - r,
                        label=f"{self.label}^({r})" if self.label else "")
-
-    def derivative_values(self, x, r: int):
-        return self._eval_pieces(tuple(p.deriv(r) if r else p for p in self.pieces), x)
 
     def sup_norm(self, r: int = 0, samples_per_piece: int = 513) -> float:
         """Sampled sup of |f^(r)| (piecewise dense grid incl. knots)."""

@@ -177,12 +177,9 @@ def ids_periodic_approx(
     d = model.dimension
     length = 2 * half_width + 1
     weight = 1.0 / (length * theta_resolution) ** d
-    factory = model.periodic_band_factory(half_width, sample=sample)
     nodes = brillouin_zone(half_width, d).midpoint_nodes(theta_resolution)
-    all_evals = [factory(theta).eigenvalues() for theta in nodes]
-    positions = np.concatenate(all_evals)
     return IdsCurve.from_jumps(
-        positions,
+        model.zone_spectra(half_width, nodes, sample=sample).ravel(),
         weight,
         np.asarray(energies, dtype=float),
         volume=float(length**d),
@@ -266,11 +263,11 @@ class DecayTable:
 
 def _functional_periodic(model, g, half_width, theta_resolution, realization) -> float:
     d = model.dimension
-    factory = model.periodic_band_factory(half_width, realization)
+    nodes = brillouin_zone(half_width, d).midpoint_nodes(theta_resolution)
     weight = 1.0 / ((2 * half_width + 1) * theta_resolution) ** d
     total = 0.0
-    for theta in brillouin_zone(half_width, d).midpoint_nodes(theta_resolution):
-        total += float(np.sum(np.asarray(g(factory(theta).eigenvalues()), dtype=float)))
+    for evals in model.zone_spectra(half_width, nodes, realization):
+        total += float(np.sum(np.asarray(g(evals), dtype=float)))
     return weight * total
 
 
@@ -479,20 +476,21 @@ def band_edge_mass(
     )
 
 
-def _zone_counts(factory, nodes, energy) -> list[int]:
-    """#{eigenvalues in [0, energy)} of ``factory(theta)`` at each zone node."""
-    counts = []
-    for theta in nodes:
-        below = factory(theta).count_below([0.0, energy])
-        counts.append(int(below[1] - below[0]))
-    return counts
+def _zone_counts(spectra: np.ndarray, energy: float) -> np.ndarray:
+    """#{eigenvalues in [0, energy)} in each row of a ``zone_spectra`` array.
+
+    Counts are strictly below each end, by the searchsorted rule of
+    ``AssembledHamiltonian.count_below`` on computed spectra.
+    """
+    below = np.array([np.searchsorted(w, [0.0, energy], side="left") for w in spectra])
+    return below[:, 1] - below[:, 0]
 
 
 def _edge_mass(model, half_width, energy, theta_resolution, realization) -> float:
     nodes = brillouin_zone(half_width, model.dimension).midpoint_nodes(theta_resolution)
-    factory = model.periodic_band_factory(half_width, realization)
+    counts = _zone_counts(model.zone_spectra(half_width, nodes, realization), energy)
     weight = 1.0 / ((2 * half_width + 1) * theta_resolution) ** model.dimension
-    return weight * sum(_zone_counts(factory, nodes, energy))
+    return weight * int(counts.sum())
 
 
 def write_decay_csv(table: DecayTable, path: str, metadata: dict | None = None) -> None:

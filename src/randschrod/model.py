@@ -26,7 +26,6 @@ from .hamiltonian import (
     assemble_periodic_approx,
     box_sites,
     fundamental_sites,
-    periodic_potential,
 )
 
 __all__ = ["AndersonModel", "align_band_edge"]
@@ -150,25 +149,23 @@ class AndersonModel:
 
         return factory
 
-    def periodic_band_factory(
-        self, half_width: int, realization: int = 0, sample: DisorderSample | None = None
-    ):
-        """theta in B_l -> H_{omega,l} at that quasimomentum.
+    def zone_spectra(
+        self,
+        half_width: int,
+        nodes: Sequence[Sequence[float]],
+        realization: int = 0,
+        sample: DisorderSample | None = None,
+    ) -> np.ndarray:
+        """Sorted spectra of H_{omega,l}(theta) at each zone node, one row per node.
 
-        The potential is assembled once; each call assembles only the
-        theta-wrapped H0 and adds it, which gives the same matrix as
-        ``periodic_box_at``.
+        The box is assembled once, at the first node; every node then
+        moves only its wrap phases, so row i equals
+        ``periodic_box_at(half_width, nodes[i], ...).eigenvalues()``.
         """
-        grid = GridSpec.cube(self.dimension, self.points_per_cell, half_width)
+        bcs = [self.wrap_phases(half_width, theta) for theta in nodes]
         if sample is None:
-            sample = self.sample_fundamental(grid, realization)
-        v = periodic_potential(grid, self.single_site, sample)
-
-        def factory(theta: Sequence[float]) -> AssembledHamiltonian:
-            h0 = assemble_h0(grid, self.v0, self.wrap_phases(half_width, theta))
-            return h0.with_potential(v, label="periodic-approx")
-
-        return factory
+            sample = self.sample_fundamental(self.grid(2 * half_width + 1), realization)
+        return self.periodic_box(half_width, bcs[0], sample=sample).spectra_under(bcs)
 
     # -- band edge --------------------------------------------------------
 

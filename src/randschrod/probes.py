@@ -86,11 +86,6 @@ class ResolventDecayProfile:
     dist_to_spectrum: float
     fitted_points: int
 
-    @property
-    def rate_per_dist(self) -> float:
-        """Fitted model constant c in rate ~ c * dist(z, spectrum)."""
-        return self.rate / self.dist_to_spectrum
-
     def norm_at(self, distance: int) -> float:
         best = [n for d, n in zip(self.distances, self.norms) if d == distance]
         if not best:
@@ -180,12 +175,6 @@ class GapProbabilityEstimate:
             raise ValueError("hits outside [0, samples]")
 
 
-def _zone_extent(side: int) -> float:
-    # dual-torus extent of the (2*side+1)-periodic approximation; the
-    # theta-boundary remark for the restricted cube uses the same zone
-    return math.pi / (2 * side + 1)
-
-
 def _gap_hit(model, half_width, bc, window, realization) -> bool:
     h = model.periodic_box(half_width, bc, realization=realization)
     below = h.count_below([0.0, window])
@@ -208,7 +197,7 @@ def gap_probability(
     The box is the periodic approximation on ``side`` = 2l+1 cells per
     axis, so couplings fold onto the torus, with periodic boundary
     conditions, or theta-boundary conditions when ``theta0`` is given;
-    theta0 components are zone points with |theta| <= pi/(2*side+1) and
+    theta0 components are zone points with |theta| <= pi/side and
     translate to a wrap phase of side * theta across the box.
     """
     if not 0.0 < alpha < 1.0:
@@ -225,13 +214,7 @@ def gap_probability(
         bc = BoundaryCondition.periodic()
         boundary = "periodic"
     else:
-        extent = _zone_extent(side)
-        for t in theta0:
-            if abs(t) > extent + 1e-12:
-                raise ValueError(
-                    f"theta component {t} outside the reduced zone [+-{extent:.6f}]"
-                )
-        bc = BoundaryCondition.with_phases(tuple(side * t for t in theta0))
+        bc = model.wrap_phases((side - 1) // 2, theta0)
         boundary = "theta(" + ",".join(f"{t:.6g}" for t in theta0) + ")"
 
     window = float(side) ** (-alpha)
@@ -271,8 +254,8 @@ class ThetaAverageReport:
 
 def _theta_average_sample(model, half_width, energy, nodes, realization) -> tuple[int, int]:
     """(zone nodes with an eigenvalue in [0, E), eigenvalues in [0, E) over all nodes)."""
-    counts = _zone_counts(model.periodic_band_factory(half_width, realization), nodes, energy)
-    return sum(c > 0 for c in counts), sum(counts)
+    counts = _zone_counts(model.zone_spectra(half_width, nodes, realization), energy)
+    return int(np.count_nonzero(counts)), int(counts.sum())
 
 
 def theta_average_check(
@@ -296,8 +279,8 @@ def theta_average_check(
         raise ValueError("energy must be positive")
     d = model.dimension
     l = half_width
-    nodes = brillouin_zone(l, d).midpoint_nodes(theta_resolution)
-    zone_volume = (2.0 * _zone_extent(l)) ** d
+    zone = brillouin_zone(l, d)
+    nodes = zone.midpoint_nodes(theta_resolution)
     cells = 2 * l + 1
 
     sample = partial(_theta_average_sample, model, l, energy, nodes)
@@ -305,7 +288,7 @@ def theta_average_check(
         sample, range(base_realization, base_realization + realizations)
     )))
     t_nodes = len(nodes)
-    lhs, lhs_se = mean_stderr(zone_volume * sums[:, 0] / t_nodes)
+    lhs, lhs_se = mean_stderr(zone.volume * sums[:, 0] / t_nodes)
     rhs, rhs_se = mean_stderr((2 * math.pi) ** d * sums[:, 1] / (cells**d * t_nodes))
     return ThetaAverageReport(
         half_width=l,
@@ -349,9 +332,9 @@ def _fixed_theta_sample(
     model, half_width, energy, theta0, enlarged, nodes, realization
 ) -> tuple[bool, int]:
     """(an eigenvalue in [0, E) at theta0, eigenvalues in [0, E') over the zone nodes)."""
-    factory = model.periodic_band_factory(half_width, realization)
-    return _zone_counts(factory, [theta0], energy)[0] > 0, sum(
-        _zone_counts(factory, nodes, enlarged)
+    spectra = model.zone_spectra(half_width, [*nodes, theta0], realization)
+    return bool(_zone_counts(spectra[-1:], energy)[0] > 0), int(
+        _zone_counts(spectra[:-1], enlarged).sum()
     )
 
 
@@ -384,15 +367,15 @@ def fixed_theta_check(
     theta0 = tuple(np.atleast_1d(np.asarray(theta0, dtype=float)).tolist())
     if len(theta0) != d:
         raise ValueError(f"theta0 must have {d} components")
-    extent = _zone_extent(l)
+    zone = brillouin_zone(l, d)
     for t in theta0:
-        if abs(t) > extent + 1e-12:
+        if abs(t) > zone.extent + 1e-12:
             raise ValueError(f"theta0 component {t} outside the reduced zone")
 
     c8 = 2.0 * math.pi * l / (2 * l + 1)
     c9 = xi * c8
     enlarged = energy + c9 / l
-    nodes = brillouin_zone(l, d).midpoint_nodes(theta_resolution)
+    nodes = zone.midpoint_nodes(theta_resolution)
 
     sample = partial(_fixed_theta_sample, model, l, energy, theta0, enlarged, nodes)
     rows = list((map_fn or map)(

@@ -190,7 +190,7 @@ def _run_bandstructure(model, exp, execution, sink, mapper):
         factory = model.unit_cell_factory()
     else:
         source = model if exp["realization"] is not None else model.quiet()
-        factory = source.periodic_band_factory(hw, exp["realization"] or 0)
+        factory = partial(source.periodic_box_at, hw, realization=exp["realization"] or 0)
     bands = compute_bands(factory, zone, exp["resolution"], exp["num_bands"])
     write_band_csv(bands, sink.path("bands.csv"), metadata=sink.metadata)
     sink.register("bands.csv")

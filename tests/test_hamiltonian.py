@@ -237,6 +237,61 @@ class TestSiteSum:
             assert np.max(np.abs(diag - oracle)) <= 1e-13 * np.max(expected) + rounding
 
 
+class TestZoneSpectra:
+    @given(
+        dimension=st.integers(1, 2),
+        points_per_cell=st.integers(1, 3),
+        half_width=st.integers(1, 3),
+        profile=st.sampled_from(["box", "exponential"]),
+        v0_shift=st.floats(0.1, 2.0),
+        fractions=st.lists(
+            st.lists(st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0]),
+                     min_size=2, max_size=2),
+            min_size=1, max_size=3,
+        ),
+        from_sample=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_the_spectra_of_boxes_assembled_at_each_node(
+        self, dimension, points_per_cell, half_width, profile, v0_shift, fractions,
+        from_sample, seed,
+    ):
+        if profile == "box":
+            u = SingleSitePotential.box(delta1=1.3, core_diameter=1.5)
+        else:
+            u = SingleSitePotential.exponential(core_diameter=1.5, delta3=1.5)
+        model = AndersonModel(
+            dimension=dimension,
+            points_per_cell=points_per_cell,
+            v0=PeriodicPotential.zero(dimension, points_per_cell).shifted(v0_shift),
+            single_site=u,
+            disorder=DisorderModel(omega_max=0.8, master_seed=seed),
+        )
+        extent = math.pi / (2 * half_width + 1)
+        # the drawn nodes come first, so the box is assembled at one of them;
+        # the zone corners follow
+        corners = [[-1.0] * dimension, [1.0] * dimension]
+        nodes = [tuple(extent * f for f in node[:dimension]) for node in fractions + corners]
+        if from_sample:
+            grid = GridSpec.cube(dimension, points_per_cell, half_width)
+            source = {"sample": model.sample_fundamental(grid, 3)}
+        else:
+            source = {"realization": 3}
+        spectra = model.zone_spectra(half_width, nodes, **source)
+        assert len(spectra) == len(nodes)
+        for theta, row in zip(nodes, spectra):
+            box = model.periodic_box_at(half_width, theta, **source)
+            assert np.array_equal(row, box.eigenvalues())
+
+    @pytest.mark.parametrize("points_per_cell", [1, 2])
+    def test_box_with_fewer_than_three_points_per_axis_is_refused(self, points_per_cell):
+        # one cell of p <= 2 points: a wrap bond is the diagonal or an interior bond
+        model = AndersonModel.free(points_per_cell=points_per_cell)
+        with pytest.raises(ValueError, match="cannot be rewritten"):
+            model.zone_spectra(0, [(0.0,), (0.5,)])
+
+
 class TestModelConveniences:
     def test_wrap_phases_multiplies_by_the_box_length(self):
         model = AndersonModel.free()

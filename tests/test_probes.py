@@ -21,6 +21,8 @@ from randschrod import (
     theta_average_check,
     wilson_interval,
 )
+from randschrod import hamiltonian
+from randschrod import model as model_module
 from randschrod.disorder import DisorderModel
 from randschrod.probes import _next_scale
 
@@ -163,6 +165,16 @@ class TestGapProbability:
                 oracle += bool(np.any((evals >= 0.0) & (evals < window)))
             assert gap_probability(model, side, alpha, m).hits == oracle
 
+    def test_theta0_zone_is_that_of_the_side_cell_box(self):
+        # 9 cells carry the zone |theta| <= pi/9 = 0.349 and the phase 9 theta;
+        # at 9 * 0.2 = 1.8 the lowest free level 2 - 2 cos(0.2) lies in the window
+        model = AndersonModel.free(omega_max=0.0)
+        est = gap_probability(model, side=9, alpha=0.25, realizations=2, theta0=(0.2,))
+        assert est.boundary == "theta(0.2)"
+        assert est.hits == 2
+        with pytest.raises(ValueError, match="zone"):
+            gap_probability(model, side=9, alpha=0.25, realizations=2, theta0=(0.36,))
+
     def test_misaligned_band_edge_is_rejected(self):
         model = AndersonModel(
             dimension=1, points_per_cell=1,
@@ -188,6 +200,19 @@ class TestThetaAverageCheck:
         assert report.passed
         assert report.slack == pytest.approx(report.rhs - report.lhs)
         assert report.realizations == 12
+
+    def test_each_realization_assembles_its_box_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return hamiltonian.assemble_h0(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "assemble_h0", counted)
+        model = AndersonModel.free(omega_max=0.2, master_seed=6)
+        theta_average_check(model, half_width=3, energy=0.25, realizations=5,
+                            theta_resolution=4)
+        assert len(calls) == 5
 
 
 class TestFixedThetaCheck:
