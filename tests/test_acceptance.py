@@ -125,6 +125,14 @@ def test_criterion_05_band_edge_regularity_detector():
     assert not check_regularity(quartic, 0.0).regular
 
 
+def test_shipped_bandstructure_checks_the_free_band_edge(shipped):
+    report = _payload(shipped("bandstructure_free_1d"), "bands.json")["regularity"]
+    assert report["regular"] is True
+    # 2 - 2cos(theta) has Hessian 2 at its minimum theta = 0
+    assert report["minimizers"] == [[0.0]]
+    assert report["hessians"] == [[[pytest.approx(2.0, abs=1e-6)]]]
+
+
 @pytest.mark.parametrize(
     "dimension,points_per_cell,cells",
     [(1, 1, 31), (1, 2, 17), (2, 1, 7), (2, 2, 5)],

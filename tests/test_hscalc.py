@@ -24,6 +24,50 @@ from randschrod.hscalc import (
 )
 
 
+def _stacked_inverse_hs(a, f, n, quad):
+    """The resolvent sum by one stacked inverse per node: the reference
+    for the spectral sum of matrix_function_hs."""
+    ext = extend(f, n)
+    xs, wx = quad.x_nodes()
+    if quad.scheme == "gauss":
+        zx_parts, zy_parts, w_parts = [], [], []
+        for x, wxi in zip(xs, wx):
+            ys, wys = quad.snapped_y_nodes(hypot1(x))
+            zx_parts.append(np.full(ys.shape, x))
+            zy_parts.append(ys)
+            w_parts.append(wxi * wys)
+        zx = np.concatenate(zx_parts)
+        zy = np.concatenate(zy_parts)
+        w = np.concatenate(w_parts)
+    else:
+        ys, wy = quad.positive_y_nodes()
+        zx = np.repeat(xs, ys.size)
+        zy = np.tile(ys, xs.size)
+        w = (wx[:, None] * wy[None, :]).ravel()
+    coeff = w * ext.dbar(zx, zy)
+    zs = zx + 1j * zy
+    live = np.abs(coeff) > 0.0
+    zs, coeff = zs[live], coeff[live]
+
+    dim = a.shape[0]
+    eye = np.eye(dim)
+    chunk = max(1, 25_000_000 // (16 * dim * dim))
+    s = np.zeros((dim, dim), dtype=complex)
+    for start in range(0, len(zs), chunk):
+        z = zs[start : start + chunk]
+        stacked = a[None, :, :] - z[:, None, None] * eye[None, :, :]
+        inv = np.linalg.inv(stacked)
+        s += np.tensordot(coeff[start : start + chunk], inv, axes=1)
+    return (s + s.conj().T) / math.pi
+
+
+def _complex_hermitian(seed, index, dim=20):
+    """The hs-check matrix: Hermitian part of a complex Gaussian matrix."""
+    rng = np.random.default_rng((seed, index))
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (a + a.conj().T)
+
+
 class TestSmoothstep:
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 5])
     def test_endpoints_and_flat_derivatives(self, order):
@@ -238,6 +282,61 @@ class TestMatrixFunction:
         err = np.max(np.abs(matrix_function_hs(a, g, n=4, quad=quad) - exact))
         err2 = np.max(np.abs(matrix_function_hs(a, g, n=4, quad=quad.refine()) - exact))
         assert err2 < err / 2.0
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_spectral_sum_matches_the_stacked_inverse_at_the_shipped_plateau(self, refine):
+        g = plateau_function(1.0, 4)
+        quad = QuadratureSpec.for_function(g)
+        quad = quad.refine() if refine else quad
+        for index in range(2):
+            a = _complex_hermitian(7, index)
+            diff = matrix_function_hs(a, g, n=4, quad=quad) - _stacked_inverse_hs(a, g, 4, quad)
+            assert np.linalg.norm(diff, 2) <= 1e-10
+
+    @pytest.mark.parametrize("energy,n", [(0.3, 4), (2.0, 6)])
+    def test_spectral_sum_matches_the_stacked_inverse_below_the_quadrature_error(
+        self, energy, n
+    ):
+        g = plateau_function(energy, n)
+        quad = QuadratureSpec.for_function(g)
+        for index in range(2):
+            a = _complex_hermitian(11, index)
+            approx = matrix_function_hs(a, g, n=n, quad=quad)
+            error = np.linalg.norm(approx - matrix_function_eigh(a, g), 2)
+            diff = np.linalg.norm(approx - _stacked_inverse_hs(a, g, n, quad), 2)
+            assert diff <= 1e-2 * error
+
+    def test_nodes_are_built_once_per_rule(self, monkeypatch):
+        # a plateau no other test builds a rule for, so the node cache is cold
+        g = plateau_function(0.9, 4)
+        quad = QuadratureSpec.for_function(g)
+        calls = []
+        snapped = QuadratureSpec.snapped_y_nodes
+
+        def counted(self, b):
+            calls.append(b)
+            return snapped(self, b)
+
+        monkeypatch.setattr(QuadratureSpec, "snapped_y_nodes", counted)
+        for index in range(4):
+            a = _complex_hermitian(3, index)
+            matrix_function_hs(a, g, n=4, quad=quad)
+            matrix_function_hs(a, g, n=4, quad=quad.refine())
+        # 128 x nodes at the base rule, 256 at the refined one
+        assert len(calls) == 128 + 256
+
+    def test_refinement_shrinks_the_sup_error_on_a_fixed_grid(self):
+        # a diagonal matrix has an exact eigendecomposition, so its
+        # diagonal is the scalar quadrature g_quad(lam) on the grid
+        g = plateau_function(1.0, 4)
+        grid = np.linspace(-0.6, 1.6, 221)
+        quad = QuadratureSpec.for_function(g)
+        err = [
+            np.max(np.abs(np.diag(matrix_function_hs(np.diag(grid), g, n=4, quad=q)) - g(grid)))
+            for q in (quad, quad.refine())
+        ]
+        assert err[0] <= 1e-6
+        assert err[1] <= err[0] / 16.0
 
     def test_non_hermitian_input_is_rejected(self):
         g = plateau_function(1.0, 4)
