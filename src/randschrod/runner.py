@@ -4,7 +4,7 @@ Every run lands in its own directory named by config hash and
 timestamp, holding the resolved config echo, the payload files, and a
 result.json envelope.  Payload bytes depend only on the resolved config
 and seed, never on thread count; the envelope carries the wall time and
-is the one file excluded from that contract.
+the library versions and is the one file excluded from that contract.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ import hashlib
 import json
 import math
 import multiprocessing
+import platform
 import time
 from dataclasses import dataclass, is_dataclass, asdict
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
 from .bands import (
@@ -59,6 +61,7 @@ from .probes import (
 __all__ = [
     "ResultEnvelope",
     "VERSION",
+    "environment",
     "parallel_map",
     "run",
 ]
@@ -83,6 +86,22 @@ def parallel_map(threads: int):
             return pool.map(fn, items, chunksize=1)
 
     return mapper
+
+
+def environment() -> dict:
+    """Interpreter, numpy, scipy and BLAS versions that a run computes under.
+
+    Payload bytes are reproducible only under the same versions, so
+    result.json records them next to the payload digests.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas["name"],
+        "blas_version": blas["version"],
+    }
 
 
 def _jsonable(obj):
@@ -132,6 +151,7 @@ class ResultEnvelope:
     directory: str
     payloads: dict[str, dict]
     summary: str
+    environment: dict
     check: dict | None = None
 
     @property
@@ -513,6 +533,7 @@ def run(config: dict, out_root: str | None = None) -> ResultEnvelope:
         directory=str(directory),
         payloads=sink.payloads,
         summary=summary,
+        environment=environment(),
         check=check,
     )
     body = json.dumps(_jsonable(asdict(envelope)), sort_keys=True, indent=2)

@@ -3,8 +3,10 @@
 Fourteen checks, one test each, run in order under ``pytest -v``.  The
 slow ones (7 and 8) drive the shipped YAML configs through the full
 runner; everything is seeded, so every number below is reproducible.
+The payload ledger then pins the bytes of every shipped config's run.
 """
 
+import hashlib
 import json
 import math
 from itertools import product
@@ -24,9 +26,10 @@ from randschrod.bands import BandStructure, check_regularity, compute_bands, fin
 from randschrod.config import load_config
 from randschrod.hscalc import dbar_bound_check, extend, plateau_function
 from randschrod.probes import alpha_n_feasible, msa_schedule
-from randschrod.runner import run
+from randschrod.runner import environment, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+LEDGER = Path(__file__).resolve().parent / "payload_ledger.json"
 
 
 @pytest.fixture(scope="session")
@@ -250,3 +253,35 @@ def test_criterion_14_parallelism_determinism(shipped):
         a = (serial / entry["path"]).read_bytes()
         b = (threaded / entry["path"]).read_bytes()
         assert a == b
+
+
+def payload_digests(directory: Path) -> dict[str, str]:
+    """sha256 of every file a run wrote, except the result.json envelope."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+        if path.name != "result.json"
+    }
+
+
+def test_payload_ledger(shipped):
+    """Every shipped config, at its own seed, full size and 1 thread, writes
+    the bytes recorded in payload_ledger.json.  A change that moves a
+    payload records the new digests in the same commit and lists the old
+    and new numbers of every file that moved."""
+    ledger = json.loads(LEDGER.read_text(encoding="ascii"))
+    here = environment()
+    for field in sorted(set(here) | set(ledger["environment"])):
+        recorded = ledger["environment"].get(field)
+        assert here.get(field) == recorded, (
+            f"environment field {field!r} is {here.get(field)!r}; "
+            f"the ledger was recorded under {recorded!r}"
+        )
+
+    assert sorted(ledger["digests"]) == sorted(p.stem for p in CONFIG_DIR.glob("*.yaml"))
+    moved = {}
+    for name, recorded in ledger["digests"].items():
+        digests = payload_digests(shipped(name))
+        if digests != recorded:
+            moved[name] = digests
+    assert not moved, "payloads moved:\n" + json.dumps(moved, indent=2, sort_keys=True)

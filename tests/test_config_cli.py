@@ -17,6 +17,7 @@ from randschrod.config import (
     validate_config,
 )
 from randschrod.hamiltonian import _cell_offsets
+from randschrod.runner import environment
 
 
 def _ids_config():
@@ -50,6 +51,37 @@ def _theta_bounds_config():
     config = _ids_config()
     config["experiment"] = {"kind": "theta-bounds", "half_width": 2, "energy": 0.25,
                             "theta_resolution": 3, "theta0": [0.05], "xi": 2.0}
+    return config
+
+
+def _lifshitz_config():
+    config = _ids_config()
+    config["experiment"] = {"kind": "lifshitz", "cells": 40, "energy_min": 0.05,
+                            "energy_max": 3.0, "energy_points": 12,
+                            "mass_low": 0.01, "mass_high": 0.4}
+    return config
+
+
+def _ids_diff_config():
+    config = _ids_config()
+    config["experiment"] = {"kind": "ids-diff", "half_widths": [1, 2],
+                            "reference_half_width": 4, "theta_resolution": 2,
+                            "plateau_energy": 0.5}
+    return config
+
+
+def _hs_check_config():
+    config = _ids_config()
+    config["experiment"] = {"kind": "hs-check", "matrix_dim": 6, "matrices": 3,
+                            "plateau_energy": 1.0}
+    del config["execution"]["realizations"]
+    return config
+
+
+def _m_regularity_config():
+    config = _ids_config()
+    config["experiment"] = {"kind": "m-regularity", "side": 25, "energy": -1.0,
+                            "mass": 0.2}
     return config
 
 
@@ -417,9 +449,13 @@ class TestCli:
         assert len(results) == 1
         return json.loads(results[0].read_text(encoding="ascii"))
 
-    @pytest.mark.parametrize("config", [_ids_config(), _gap_prob_config(),
-                                        _theta_bounds_config()],
-                             ids=["ids", "gap-prob", "theta-bounds"])
+    @pytest.mark.parametrize(
+        "config",
+        [_ids_config(), _gap_prob_config(), _theta_bounds_config(), _lifshitz_config(),
+         _ids_diff_config(), _hs_check_config(), _m_regularity_config()],
+        ids=["ids", "gap-prob", "theta-bounds", "lifshitz", "ids-diff", "hs-check",
+             "m-regularity"],
+    )
     def test_thread_count_does_not_change_payloads(self, tmp_path, capsys, config):
         serial = self._run_and_read(tmp_path, "serial", threads=1, config=config)
         threaded = self._run_and_read(tmp_path, "threaded", threads=2, config=config)
@@ -433,6 +469,8 @@ class TestCli:
     def test_result_envelope_fields(self, tmp_path, capsys):
         body = self._run_and_read(tmp_path, "envelope", threads=1)
         assert set(body) >= {"kind", "config_hash", "version", "wall_time_s",
-                             "directory", "payloads", "summary", "check"}
+                             "directory", "payloads", "summary", "environment",
+                             "check"}
         assert body["kind"] == "ids"
+        assert body["environment"] == environment()
         assert body["wall_time_s"] >= 0.0
