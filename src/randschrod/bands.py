@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hamiltonian import AssembledHamiltonian
+from .model import AndersonModel
 
 __all__ = [
     "BrillouinZone",
@@ -111,7 +111,6 @@ class BandStructure:
         func: Callable[[np.ndarray], float | np.ndarray],
         zone: BrillouinZone,
         resolution: int,
-        with_evaluator: bool = True,
     ) -> "BandStructure":
         """Synthetic single-band structure sampled from a scalar function."""
         axes = [zone.inclusive_axis(resolution) for _ in range(zone.dimension)]
@@ -120,38 +119,42 @@ class BandStructure:
         for index in itertools.product(*(range(s) for s in shape)):
             theta = np.array([axes[j][index[j]] for j in range(zone.dimension)])
             vals[index + (0,)] = float(func(theta))
-        ev = (lambda t: np.atleast_1d(float(func(np.asarray(t))))) if with_evaluator else None
-        return BandStructure(axes, vals, zone, ev)
+        return BandStructure(
+            axes, vals, zone, lambda t: np.atleast_1d(float(func(np.asarray(t))))
+        )
 
 
 def compute_bands(
-    factory: Callable[[Sequence[float]], AssembledHamiltonian],
-    zone: BrillouinZone,
+    model: AndersonModel,
+    half_width: int,
     resolution: int,
     num_bands: int,
+    realization: int | None = None,
 ) -> BandStructure:
-    """Tabulate the lowest ``num_bands`` eigenvalues over an inclusive grid.
+    """Tabulate the lowest ``num_bands`` eigenvalues of H_{omega,l} over an
+    inclusive grid on the reduced zone B_l.
 
-    ``factory`` maps a quasimomentum vector to the assembled box matrix;
-    eigenvalues come back sorted ascending, so bands are the usual sorted
-    branches (continuous but possibly kinked at crossings).
+    ``realization`` None gives the bands of H0, whose couplings are all
+    zero.  Rows come from ``AndersonModel.zone_spectra`` sorted ascending,
+    so bands are the usual sorted branches (continuous but possibly kinked
+    at crossings); the evaluator probes the same operator off the grid.
     """
+    if realization is None:
+        model, realization = model.quiet(), 0
+    zone = brillouin_zone(half_width, model.dimension)
     axes = [zone.inclusive_axis(resolution) for _ in range(zone.dimension)]
-    shape = tuple(len(a) for a in axes)
+    spectra = model.zone_spectra(half_width, list(itertools.product(*axes)), realization)
+    if spectra.shape[1] < num_bands:
+        raise ValueError(
+            f"requested {num_bands} bands but the box matrix has only "
+            f"{spectra.shape[1]} eigenvalues"
+        )
+    energies = spectra[:, :num_bands].reshape(tuple(len(a) for a in axes) + (num_bands,))
 
-    def solve(theta: Sequence[float]) -> np.ndarray:
-        w = factory(theta).eigenvalues()
-        if len(w) < num_bands:
-            raise ValueError(
-                f"requested {num_bands} bands but the box matrix has only {len(w)} eigenvalues"
-            )
-        return w
+    def evaluator(theta: Sequence[float]) -> np.ndarray:
+        return model.zone_spectra(half_width, [theta], realization)[0]
 
-    energies = np.empty(shape + (num_bands,))
-    for index in itertools.product(*(range(s) for s in shape)):
-        theta = [axes[j][index[j]] for j in range(zone.dimension)]
-        energies[index] = solve(theta)[:num_bands]
-    return BandStructure(axes, energies, zone, evaluator=solve)
+    return BandStructure(axes, energies, zone, evaluator)
 
 
 def find_band_edges(bands: BandStructure, gap_tol: float = 1e-9) -> list[dict]:
@@ -184,7 +187,6 @@ class BandEdgeReport:
     hessians: tuple[np.ndarray, ...]
     smallest_eigenvalues: tuple[float, ...]
     regular: bool
-    boundary_minimizer: bool
     fd_step: float
 
 
@@ -231,13 +233,13 @@ def check_regularity(
     """Decide whether a lower band edge is a regular Floquet minimum.
 
     For every band attaining ``edge`` and every grid minimizer, the theta
-    Hessian is estimated by Richardson-extrapolated central differences
-    (step ``fd_step`` when an evaluator is present, otherwise the grid
-    spacing).  Regular means every Hessian is positive definite beyond
-    ``pd_tol``.  Degenerate minima (e.g. quartic bottoms) extrapolate to
-    a zero Hessian and are flagged non-regular.
+    Hessian is estimated by Richardson-extrapolated central differences of
+    step ``fd_step`` through the band structure's evaluator; a band
+    structure without one raises ValueError.  Regular means every Hessian
+    is positive definite beyond ``pd_tol``.  Degenerate minima (e.g.
+    quartic bottoms) extrapolate to a zero Hessian and are flagged
+    non-regular.
     """
-    shape = bands.energies.shape[:-1]
     attaining = [
         n for n in range(bands.num_bands) if bands.band_range(n)[0] <= edge + edge_tol
     ]
@@ -247,7 +249,6 @@ def check_regularity(
     minimizers: list[tuple[float, ...]] = []
     hessians: list[np.ndarray] = []
     smallest: list[float] = []
-    boundary = False
 
     full_zone = abs(bands.axes[0][0] + math.pi) < 1e-12 and abs(
         bands.axes[0][-1] - math.pi
@@ -261,8 +262,7 @@ def check_regularity(
         # Collapse duplicated endpoint minimizers (+-pi identify on full zones).
         seen: set[tuple[float, ...]] = set()
         for index in candidates:
-            index = tuple(int(i) for i in index)
-            theta0 = bands.theta_at(index)
+            theta0 = bands.theta_at(tuple(int(i) for i in index))
             key = tuple(
                 round(math.remainder(t, 2.0 * math.pi), 10) if full_zone else round(t, 10)
                 for t in theta0
@@ -270,21 +270,10 @@ def check_regularity(
             if key in seen:
                 continue
             seen.add(key)
-            on_boundary = any(
-                i == 0 or i == shape[j] - 1 for j, i in enumerate(index)
-            )
-            if bands.evaluator is not None:
-                probe = lambda t, band=n: float(bands.evaluator(t)[band])
-                hess = _hessian_from_probe(probe, theta0, fd_step)
-            else:
-                if on_boundary and not full_zone:
-                    boundary = True
-                hess = _grid_hessian(bands, n, index, full_zone)
+            hess = _hessian_from_probe(lambda t, band=n: bands.value(t, band), theta0, fd_step)
             minimizers.append(tuple(float(t) for t in theta0))
             hessians.append(hess)
             smallest.append(float(np.min(np.linalg.eigvalsh(hess))))
-            if on_boundary and bands.evaluator is None and not full_zone:
-                boundary = True
 
     regular = bool(smallest) and all(s > pd_tol for s in smallest)
     return BandEdgeReport(
@@ -294,58 +283,8 @@ def check_regularity(
         hessians=tuple(hessians),
         smallest_eigenvalues=tuple(smallest),
         regular=regular,
-        boundary_minimizer=boundary,
         fd_step=fd_step,
     )
-
-
-def _grid_hessian(
-    bands: BandStructure, n: int, index: tuple[int, ...], wrap: bool
-) -> np.ndarray:
-    """Richardson Hessian from tabulated values with step = grid spacing."""
-    shape = bands.energies.shape[:-1]
-    d = bands.dimension
-
-    def value(offset: tuple[int, ...]) -> float:
-        idx = []
-        for j, (i, o) in enumerate(zip(index, offset)):
-            k = i + o
-            if wrap:
-                k %= shape[j] - 1  # endpoint duplicates the start on full zones
-            if not 0 <= k < shape[j]:
-                raise ValueError(
-                    "grid minimizer sits on the zone boundary; supply an evaluator "
-                    "or a full-zone grid for wrap-around differencing"
-                )
-            idx.append(k)
-        return float(bands.energies[tuple(idx) + (n,)])
-
-    steps = [bands.axes[j][1] - bands.axes[j][0] for j in range(d)]
-
-    def stencil(mult: int) -> np.ndarray:
-        hess = np.empty((d, d))
-        f0 = value((0,) * d)
-        for i in range(d):
-            e = [0] * d
-            e[i] = mult
-            hess[i, i] = (value(tuple(e)) - 2 * f0 + value(tuple(-x for x in e))) / (
-                mult * steps[i]
-            ) ** 2
-        for i in range(d):
-            for j in range(i + 1, d):
-                acc = 0.0
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        e = [0] * d
-                        e[i] = si * mult
-                        e[j] = sj * mult
-                        acc += si * sj * value(tuple(e))
-                hess[i, j] = hess[j, i] = acc / (4.0 * mult * mult * steps[i] * steps[j])
-        return hess
-
-    fine = stencil(1)
-    coarse = stencil(2)
-    return (4.0 * fine - coarse) / 3.0
 
 
 def estimate_lipschitz(bands: BandStructure, window: tuple[float, float]) -> float:

@@ -31,6 +31,7 @@ __all__ = [
     "assemble_h0",
     "assemble_anderson",
     "assemble_periodic_approx",
+    "folded_potential",
     "validate_single_site",
     "box_sites",
     "fundamental_sites",
@@ -446,30 +447,37 @@ class AssembledHamiltonian:
             w = w[w < upper]
         return w
 
-    def spectra_under(self, bcs: Sequence[BoundaryCondition]) -> np.ndarray:
-        """Sorted eigenvalues of this Theta box under each Theta condition, one row each.
+    def bloch_spectra(self, bcs: Sequence[BoundaryCondition]) -> np.ndarray:
+        """Sorted eigenvalues of the Bloch operator under each Theta condition, one row each.
 
-        Only the wrap-bond entries of the dense matrix are rewritten, so
-        row i is ``eigenvalues()`` of the box assembled under ``bcs[i]``.
-        Needs at least 3 grid points per axis, where no wrap bond
-        coincides with the diagonal or an interior bond.
+        This box has its wrap bonds cut (Dirichlet) and is A in
+        H(theta) = A + sum_a (e^{i theta_a} B_a + h.c.), where B_a holds the
+        wrap bonds of axis a (``_wrap_bonds``).  At each condition the bond
+        entries restart from A and the hops are added to them, as assembly
+        adds them: on a one-point axis a bond sits on the diagonal and adds
+        -2w cos(theta_a), on a two-point axis it adds to the interior bond.
+        So row i is ``eigenvalues()`` of the box assembled under ``bcs[i]``,
+        entry for entry wherever every axis has at least 2 points; on a
+        one-point axis the diagonal sums its terms in another order.
         """
-        if self.bc.kind != "theta" or min(self.grid.shape) < 3:
-            raise ValueError(
-                f"wrap phases of a {self.grid.shape} {self.bc.kind} box cannot be rewritten"
-            )
-        dense = self.dense()
-        bonds = _wrap_bonds(self.grid)
+        if self.bc.wraps:
+            raise ValueError(f"the Bloch operator starts from a Dirichlet box, not {self.bc.kind}")
+        n = self.n
+        work = self.dense().astype(complex)
+        entries = work.reshape(-1)  # a view: flat index i * n + j is entry (i, j)
+        bonds = [(src * n + dst, dst * n + src, w) for src, dst, w in _wrap_bonds(self.grid)]
+        touched = np.concatenate([np.concatenate(bond[:2]) for bond in bonds])
+        cut = entries[touched]
         rows = []
         for bc in bcs:
             if bc.kind != "theta" or len(bc.theta) != self.grid.dimension:
                 raise ValueError(f"need {self.grid.dimension} theta phases, got {bc}")
-            for (src, dst, w), phase in zip(bonds, bc.theta):
+            entries[touched] = cut
+            for (fwd, bwd, w), phase in zip(bonds, bc.theta):
                 hop = _wrap_hop(w, phase)
-                # assembly adds 0 to every stored entry, which turns -0.0 into +0.0
-                dense[src, dst] = hop + 0.0
-                dense[dst, src] = np.conj(hop) + 0.0
-            rows.append(scipy.linalg.eigvalsh(dense))
+                entries[fwd] += hop
+                entries[bwd] += np.conj(hop)
+            rows.append(scipy.linalg.eigvalsh(work))
         return np.array(rows)
 
     def with_matrix(self, matrix: scipy.sparse.csr_matrix, label: str) -> "AssembledHamiltonian":
@@ -505,9 +513,9 @@ def _wrap_bonds(grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray, float]]:
 
     Each source sits on the last grid plane along the axis and its target
     on the first; w = 1/h^2 is the hopping weight, so under Theta(theta)
-    the entry (source, target) is ``_wrap_hop(w, theta_axis)``.  With
-    fewer than 3 points along an axis a wrap bond lands on the diagonal
-    or on an interior bond.
+    the bond adds ``_wrap_hop(w, theta_axis)`` to the entry (source,
+    target).  With fewer than 3 points along an axis a wrap bond lands on
+    the diagonal or on an interior bond.
     """
     idx = np.arange(grid.n_points).reshape(grid.shape)
     return [
@@ -662,25 +670,32 @@ def assemble_anderson(
     return h0.with_potential(v, label="anderson")
 
 
+def folded_potential(
+    grid: GridSpec, u: SingleSitePotential, sample: DisorderSample
+) -> np.ndarray:
+    """Potential of the periodic approximation on a (2l+1)^d cube box, flat.
+
+    The coupling at site k is the sampled value at the folded site
+    k mod (2l+1)Z^d (representative in {-l..l}^d), so only the fundamental
+    cell must be sampled.  Tails of u that cross the box boundary wrap
+    around the torus through the extended site sum.
+    """
+    l = grid.half_width
+    period = 2 * l + 1
+    sites = box_sites(grid, u.radius)
+    folded = [tuple((k + l) % period - l for k in site) for site in sites]
+    return _site_sum(grid, u, [sample.coupling_at(k) for k in folded])
+
+
 def assemble_periodic_approx(
     h0: AssembledHamiltonian,
     u: SingleSitePotential,
     sample: DisorderSample,
 ) -> AssembledHamiltonian:
     """Periodic approximation H_{omega,l}: H0 on a (2l+1)^d cube box plus
-    the potential of the folded couplings.
-
-    The coupling at site k is the sampled value at the folded site
-    k mod (2l+1)Z^d (representative in {-l..l}^d), so only the fundamental
-    cell must be sampled.  Tails of u that cross the box boundary wrap
-    around the torus through the extended site sum.  Requires a wrapping
-    boundary condition (Periodic or Theta).
+    the ``folded_potential`` of the sampled couplings.  Requires a
+    wrapping boundary condition (Periodic or Theta).
     """
     if not h0.bc.wraps:
         raise ValueError("periodic approximation needs Periodic or Theta boundary conditions")
-    l = h0.grid.half_width
-    period = 2 * l + 1
-    sites = box_sites(h0.grid, u.radius)
-    folded = [tuple((k + l) % period - l for k in site) for site in sites]
-    v = _site_sum(h0.grid, u, [sample.coupling_at(k) for k in folded])
-    return h0.with_potential(v, label="periodic-approx")
+    return h0.with_potential(folded_potential(h0.grid, u, sample), label="periodic-approx")

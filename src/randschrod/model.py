@@ -8,6 +8,7 @@ box matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -25,6 +26,7 @@ from .hamiltonian import (
     assemble_h0,
     assemble_periodic_approx,
     box_sites,
+    folded_potential,
     fundamental_sites,
 )
 
@@ -140,15 +142,6 @@ class AndersonModel:
         bc = self.wrap_phases(half_width, quasimomentum)
         return self.periodic_box(half_width, bc, realization=realization, sample=sample)
 
-    def unit_cell_factory(self):
-        """theta in [-pi,pi]^d -> H0 on one unit cell with that wrap phase."""
-        grid = GridSpec.from_cells(self.dimension, self.points_per_cell, 1)
-
-        def factory(theta: Sequence[float]) -> AssembledHamiltonian:
-            return assemble_h0(grid, self.v0, BoundaryCondition.with_phases(theta))
-
-        return factory
-
     def zone_spectra(
         self,
         half_width: int,
@@ -158,14 +151,21 @@ class AndersonModel:
     ) -> np.ndarray:
         """Sorted spectra of H_{omega,l}(theta) at each zone node, one row per node.
 
-        The box is assembled once, at the first node; every node then
-        moves only its wrap phases, so row i equals
-        ``periodic_box_at(half_width, nodes[i], ...).eigenvalues()``.
+        A, the Dirichlet H0 plus the folded potential of H_{omega,l}, is
+        assembled once; every node then adds its wrap hops to A
+        (``AssembledHamiltonian.bloch_spectra``).  Row i equals
+        ``periodic_box_at(half_width, nodes[i], ...).eigenvalues()`` bitwise
+        wherever every axis has at least 2 grid points, and to rounding on
+        a one-point axis.
         """
         bcs = [self.wrap_phases(half_width, theta) for theta in nodes]
+        grid = self.grid(2 * half_width + 1)
         if sample is None:
-            sample = self.sample_fundamental(self.grid(2 * half_width + 1), realization)
-        return self.periodic_box(half_width, bcs[0], sample=sample).spectra_under(bcs)
+            sample = self.sample_fundamental(grid, realization)
+        cut = assemble_h0(grid, self.v0, BoundaryCondition.dirichlet()).with_potential(
+            folded_potential(grid, self.single_site, sample), label="periodic-approx"
+        )
+        return cut.bloch_spectra(bcs)
 
     # -- band edge --------------------------------------------------------
 
@@ -173,17 +173,9 @@ class AndersonModel:
         """Minimum of the lowest band of H0 over an inclusive full-zone grid."""
         if resolution % 2 == 0:
             resolution += 1  # keep theta = 0 on the grid
-        factory = self.unit_cell_factory()
-        axes = [np.linspace(-math.pi, math.pi, resolution)] * self.dimension
-        best = math.inf
-        if self.dimension == 1:
-            for t in axes[0]:
-                best = min(best, float(factory((t,)).eigenvalues()[0]))
-        else:
-            for t1 in axes[0]:
-                for t2 in axes[1]:
-                    best = min(best, float(factory((t1, t2)).eigenvalues()[0]))
-        return best
+        axis = np.linspace(-math.pi, math.pi, resolution)
+        nodes = list(itertools.product(axis, repeat=self.dimension))
+        return float(np.min(self.quiet().zone_spectra(0, nodes)[:, 0]))
 
 
 def align_band_edge(model: AndersonModel, resolution: int = 401) -> AndersonModel:

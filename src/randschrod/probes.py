@@ -175,8 +175,11 @@ class GapProbabilityEstimate:
             raise ValueError("hits outside [0, samples]")
 
 
-def _gap_hit(model, half_width, bc, window, realization) -> bool:
-    h = model.periodic_box(half_width, bc, realization=realization)
+def _gap_hit(model, half_width, theta0, window, realization) -> bool:
+    if theta0 is not None:
+        return bool(_zone_counts(model.zone_spectra(half_width, [theta0], realization),
+                                 window)[0] > 0)
+    h = model.periodic_box(half_width, BoundaryCondition.periodic(), realization=realization)
     below = h.count_below([0.0, window])
     return bool(below[1] > below[0])
 
@@ -211,14 +214,13 @@ def gap_probability(
                 f"lowest band sits at {edge:.3e}, not 0; shift the model first"
             )
     if theta0 is None:
-        bc = BoundaryCondition.periodic()
         boundary = "periodic"
     else:
-        bc = model.wrap_phases((side - 1) // 2, theta0)
+        model.wrap_phases((side - 1) // 2, theta0)  # rejects theta0 outside the zone
         boundary = "theta(" + ",".join(f"{t:.6g}" for t in theta0) + ")"
 
     window = float(side) ** (-alpha)
-    hit = partial(_gap_hit, model, (side - 1) // 2, bc, window)
+    hit = partial(_gap_hit, model, (side - 1) // 2, theta0, window)
     hits = sum((map_fn or map)(hit, range(base_realization, base_realization + realizations)))
     return GapProbabilityEstimate(
         side=side,

@@ -24,7 +24,6 @@ import scipy
 import yaml
 
 from .bands import (
-    brillouin_zone,
     compute_bands,
     find_band_edges,
     check_regularity,
@@ -205,13 +204,7 @@ def _regularity(model, side, energy, delta, mass, probes, realization):
 
 def _run_bandstructure(model, exp, execution, sink, mapper):
     hw = exp["half_width"]
-    zone = brillouin_zone(hw, model.dimension)
-    if hw == 0:
-        factory = model.unit_cell_factory()
-    else:
-        source = model if exp["realization"] is not None else model.quiet()
-        factory = partial(source.periodic_box_at, hw, realization=exp["realization"] or 0)
-    bands = compute_bands(factory, zone, exp["resolution"], exp["num_bands"])
+    bands = compute_bands(model, hw, exp["resolution"], exp["num_bands"], exp["realization"])
     write_band_csv(bands, sink.path("bands.csv"), metadata=sink.metadata)
     sink.register("bands.csv")
 

@@ -95,8 +95,7 @@ def test_criterion_04_free_model_analytics():
     model = AndersonModel.free(omega_max=0.0)
 
     # lowest phase-wrapped eigenvalue across the zone
-    bands = compute_bands(model.unit_cell_factory(), brillouin_zone(0, 1),
-                          resolution=257, num_bands=1)
+    bands = compute_bands(model, 0, resolution=257, num_bands=1)
     expected = 2.0 - 2.0 * np.cos(bands.axes[0])
     assert np.max(np.abs(bands.energies[:, 0] - expected)) <= 1e-10
 
@@ -116,8 +115,7 @@ def test_criterion_04_free_model_analytics():
 
 def test_criterion_05_band_edge_regularity_detector():
     model = AndersonModel.free(dimension=2, omega_max=0.0)
-    bands = compute_bands(model.unit_cell_factory(), brillouin_zone(0, 2),
-                          resolution=33, num_bands=1)
+    bands = compute_bands(model, 0, resolution=33, num_bands=1)
     edge = find_band_edges(bands)[0]["energy"]
     report = check_regularity(bands, edge)
     assert report.regular

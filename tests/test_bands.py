@@ -1,6 +1,7 @@
 """Floquet band structure against the explicit free-lattice dispersion."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -19,8 +20,7 @@ from randschrod.bands import (
 @pytest.fixture(scope="module")
 def free_bands_1d():
     model = AndersonModel.free(omega_max=0.0)
-    zone = brillouin_zone(0, 1)
-    return compute_bands(model.unit_cell_factory(), zone, resolution=257, num_bands=1)
+    return compute_bands(model, 0, resolution=257, num_bands=1)
 
 
 class TestFreeDispersion:
@@ -37,11 +37,17 @@ class TestFreeDispersion:
 
     def test_two_dimensional_dispersion_is_separable(self):
         model = AndersonModel.free(dimension=2, omega_max=0.0)
-        zone = brillouin_zone(0, 2)
-        bands = compute_bands(model.unit_cell_factory(), zone, resolution=33, num_bands=1)
+        bands = compute_bands(model, 0, resolution=33, num_bands=1)
         t0, t1 = np.meshgrid(bands.axes[0], bands.axes[1], indexing="ij")
         expected = 4.0 - 2.0 * np.cos(t0) - 2.0 * np.cos(t1)
         assert np.allclose(bands.energies[:, :, 0], expected, atol=1e-10)
+
+    def test_disordered_bands_are_the_spectra_of_assembled_boxes(self):
+        model = AndersonModel.free(points_per_cell=2, omega_max=1.0, master_seed=9)
+        bands = compute_bands(model, 2, resolution=9, num_bands=3, realization=4)
+        for index in itertools.product(range(9)):
+            box = model.periodic_box_at(2, bands.theta_at(index), realization=4)
+            assert np.array_equal(bands.energies[index], box.eigenvalues()[:3])
 
     def test_band_range_spans_zero_to_four(self, free_bands_1d):
         lo, hi = free_bands_1d.band_range(0)
@@ -81,8 +87,7 @@ class TestBandEdges:
 class TestEdgeRegularity:
     def test_free_minimum_in_two_dimensions_has_identity_like_hessian(self):
         model = AndersonModel.free(dimension=2, omega_max=0.0)
-        zone = brillouin_zone(0, 2)
-        bands = compute_bands(model.unit_cell_factory(), zone, resolution=41, num_bands=1)
+        bands = compute_bands(model, 0, resolution=41, num_bands=1)
         report = check_regularity(bands, 0.0)
         assert report.regular
         assert report.minimizers[0] == pytest.approx((0.0, 0.0), abs=1e-12)
@@ -98,6 +103,13 @@ class TestEdgeRegularity:
         )
         report = check_regularity(bands, 0.0)
         assert not report.regular
+
+    def test_band_structure_without_evaluator_is_refused(self):
+        zone = brillouin_zone(0, 1)
+        axis = zone.inclusive_axis(101)
+        bands = BandStructure(axes=[axis], energies=(axis**2)[:, None], zone=zone)
+        with pytest.raises(ValueError, match="evaluator"):
+            check_regularity(bands, 0.0)
 
     def test_missing_edge_raises(self, free_bands_1d):
         with pytest.raises(ValueError, match="attains"):

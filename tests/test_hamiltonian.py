@@ -284,12 +284,47 @@ class TestZoneSpectra:
             box = model.periodic_box_at(half_width, theta, **source)
             assert np.array_equal(row, box.eigenvalues())
 
-    @pytest.mark.parametrize("points_per_cell", [1, 2])
-    def test_box_with_fewer_than_three_points_per_axis_is_refused(self, points_per_cell):
-        # one cell of p <= 2 points: a wrap bond is the diagonal or an interior bond
-        model = AndersonModel.free(points_per_cell=points_per_cell)
-        with pytest.raises(ValueError, match="cannot be rewritten"):
-            model.zone_spectra(0, [(0.0,), (0.5,)])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_free_unit_cell_rows_are_the_cosine_dispersion(self, dimension):
+        # one point per cell: every wrap bond sits on the diagonal and adds -2 cos(theta_a)
+        model = AndersonModel.free(dimension=dimension, omega_max=0.0)
+        nodes = list(itertools.product(np.linspace(-math.pi, math.pi, 33), repeat=dimension))
+        spectra = model.zone_spectra(0, nodes)
+        expected = [2.0 * dimension - 2.0 * sum(math.cos(t) for t in theta) for theta in nodes]
+        assert spectra.shape == (len(nodes), 1)
+        assert np.max(np.abs(spectra[:, 0] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("points_per_cell", [1, 2, 3])
+    def test_unit_cell_rows_equal_the_spectra_of_assembled_cells(
+        self, dimension, points_per_cell
+    ):
+        # at p = 2 a wrap bond adds to the interior bond as assembly adds it;
+        # at p = 1 it sits on the diagonal, whose terms assembly sums in
+        # another order, so the rows may round differently there
+        rng = np.random.default_rng(17)
+        shape = (points_per_cell,) * dimension
+        model = AndersonModel(
+            dimension=dimension,
+            points_per_cell=points_per_cell,
+            v0=PeriodicPotential(dimension, points_per_cell, rng.uniform(0.0, 2.0, shape)),
+            single_site=SingleSitePotential.exponential(core_diameter=1.5, delta3=1.5),
+            disorder=DisorderModel(omega_max=0.8, master_seed=5),
+        )
+        corners = list(itertools.product([-math.pi, 0.0, math.pi], repeat=dimension))
+        nodes = corners + [tuple(t) for t in rng.uniform(-math.pi, math.pi, (8, dimension))]
+        spectra = model.zone_spectra(0, nodes, realization=2)
+        for theta, row in zip(nodes, spectra):
+            box = model.periodic_box_at(0, theta, realization=2).eigenvalues()
+            if points_per_cell == 1:
+                assert np.max(np.abs(row - box)) <= 2 * np.spacing(np.max(np.abs(box)))
+            else:
+                assert np.array_equal(row, box)
+
+    def test_bloch_operator_starts_from_a_dirichlet_box(self):
+        h = _free_h0(5, BoundaryCondition.periodic())
+        with pytest.raises(ValueError, match="Dirichlet"):
+            h.bloch_spectra([BoundaryCondition.with_phases([0.5])])
 
 
 class TestModelConveniences:
