@@ -24,6 +24,7 @@ from .hamiltonian import (
     AssembledHamiltonian,
     BoundaryCondition,
     GridSpec,
+    NumericalFailure,
     PeriodicPotential,
     SingleSitePotential,
     assemble_anderson,
@@ -95,6 +96,7 @@ __all__ = [
     "IdsCurve",
     "LifshitzFit",
     "MsaSchedule",
+    "NumericalFailure",
     "PeriodicPotential",
     "QuadratureSpec",
     "ResultEnvelope",

@@ -3,7 +3,8 @@
 One subcommand per experiment kind; every subcommand takes the same
 flags and requires a config file whose experiment.kind matches the
 subcommand.  Exit codes: 0 success, 2 validation failure, 3 numerical
-failure, 4 a checked inequality or assertion did not hold.
+failure (NumericalFailure or LinAlgError), 4 a checked inequality or
+assertion did not hold.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .config import (
     resolve_config,
     validate_config,
 )
+from .hamiltonian import NumericalFailure
 from .runner import run
 
 EXIT_OK = 0
@@ -107,10 +109,7 @@ def main(argv=None) -> int:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError,
-            RuntimeError, ValueError) as exc:
-        # compute-stage rejections (empty fit window, singular probe,
-        # stalled recursion) are numerical failures, not config errors
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

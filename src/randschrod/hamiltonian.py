@@ -22,6 +22,7 @@ from .disorder import DisorderSample
 
 __all__ = [
     "SOLVER_BUDGET_POINTS",
+    "NumericalFailure",
     "GridSpec",
     "BoundaryCondition",
     "PeriodicPotential",
@@ -41,6 +42,14 @@ __all__ = [
 # desk scale.  Assemblies beyond this are refused rather than left to
 # thrash.
 SOLVER_BUDGET_POINTS = 20_000
+
+
+class NumericalFailure(ValueError):
+    """A computation on valid input gave no trustworthy number: an empty or
+    degenerate fit window, a probe on the spectrum, a stalled recursion.
+
+    The command line maps it to exit code 3; any other exception is a bug.
+    """
 
 
 @dataclass(frozen=True)

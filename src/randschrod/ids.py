@@ -18,7 +18,7 @@ import numpy as np
 
 from .bands import brillouin_zone
 from .disorder import DisorderSample
-from .hamiltonian import AssembledHamiltonian, BoundaryCondition
+from .hamiltonian import AssembledHamiltonian, BoundaryCondition, NumericalFailure
 from .model import AndersonModel
 
 __all__ = [
@@ -368,7 +368,7 @@ def mass_window(
     mass = avg.mean - base
     ok = (mass >= mass_low) & (mass <= mass_high) & (avg.energies > edge)
     if not np.any(ok):
-        raise ValueError("no energies carry IDS mass inside the requested band")
+        raise NumericalFailure("no energies carry IDS mass inside the requested band")
     es = avg.energies[ok]
     return float(es[0]), float(es[-1])
 
@@ -389,17 +389,17 @@ def lifshitz_fit(
     """
     lo, hi = window
     if not lo < hi:
-        raise ValueError("empty fit window")
+        raise NumericalFailure("empty fit window")
     base = avg.mean_at(edge)
     sel = (avg.energies >= lo) & (avg.energies <= hi) & (avg.energies > edge)
     energies = avg.energies[sel]
     mass = avg.mean[sel] - base
     if np.any(mass <= 0.0):
-        raise ValueError("IDS mass must be strictly positive inside the fit window")
+        raise NumericalFailure("IDS mass must be strictly positive inside the fit window")
     if np.any(mass >= 0.5):
-        raise ValueError("fit window reaches IDS mass >= 1/2; shrink it toward the edge")
+        raise NumericalFailure("fit window reaches IDS mass >= 1/2; shrink it toward the edge")
     if len(energies) < min_points:
-        raise ValueError(f"only {len(energies)} usable points; need >= {min_points}")
+        raise NumericalFailure(f"only {len(energies)} usable points; need >= {min_points}")
 
     x = np.log(energies - edge)
     y = np.log(np.abs(np.log(mass)))

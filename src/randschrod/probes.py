@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .bands import brillouin_zone
-from .hamiltonian import AssembledHamiltonian, BoundaryCondition, GridSpec
+from .hamiltonian import AssembledHamiltonian, BoundaryCondition, GridSpec, NumericalFailure
 from .hscalc import smoothstep
 from .ids import _zone_counts, mean_stderr
 from .model import AndersonModel
@@ -110,7 +110,7 @@ def combes_thomas_profile(
     evals = h.eigenvalues()
     dist = float(np.min(np.abs(evals - z)))
     if dist < 1e-8:
-        raise ValueError(f"probe {z} sits on the spectrum (distance {dist:.2e})")
+        raise NumericalFailure(f"probe {z} sits on the spectrum (distance {dist:.2e})")
 
     anchor = tuple(int(c) for c in anchor)
     cols = _cell_flat_indices(grid, anchor)
@@ -137,7 +137,7 @@ def combes_thomas_profile(
     norm_arr = np.asarray(norms, dtype=float)
     keep = norm_arr > norm_floor
     if np.sum(keep) < 2:
-        raise ValueError("not enough usable norms above the floor to fit a rate")
+        raise NumericalFailure("not enough usable norms above the floor to fit a rate")
     xv, yv = dist_arr[keep], np.log(norm_arr[keep])
     design = np.stack([xv, np.ones_like(xv)], axis=1)
     coef, *_ = np.linalg.lstsq(design, yv, rcond=None)
@@ -485,7 +485,7 @@ def msa_schedule(
         l, m, q = scales[-1], masses[-1], exponents[-1]
         l_next = _next_scale(l, zeta)
         if l_next <= l:
-            raise ValueError(f"scale recursion stalls at {l} (zeta too small)")
+            raise NumericalFailure(f"scale recursion stalls at {l} (zeta too small)")
         m_next = m * (1.0 - 4.0 * l / l_next) - c1 / l - c2 * math.log(l_next) / l_next
         q_next = math.log(
             c3 * (l_next / l) ** (2 * d) * l ** (2 * q) + 0.5 * l_next ** (-xi)
@@ -576,7 +576,7 @@ def m_regularity_test(
     if any(e == 0 for e in eps_probes):
         gap = float(np.min(np.abs(h_box.eigenvalues() - energy)))
         if gap < 1e-9:
-            raise ValueError(
+            raise NumericalFailure(
                 f"energy {energy} is within {gap:.2e} of the spectrum; "
                 "a zero probe would be singular"
             )

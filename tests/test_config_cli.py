@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from randschrod import runner
 from randschrod.cli import main
 from randschrod.config import (
     ConfigError,
@@ -418,6 +419,57 @@ class TestCli:
         markers = list(out.glob("*/FAILED"))
         assert len(markers) == 1
         assert not (markers[0].parent / "result.json").exists()
+
+    @staticmethod
+    def _chain_config(experiment, realizations=None):
+        # free chain at one point per cell: the Dirichlet box of n sites has
+        # an eigenvalue 2 - 2cos(pi/2) within rounding of 2 when n is odd
+        config = _ids_config()
+        config["model"]["points_per_cell"] = 1
+        config["model"]["disorder"]["omega_max"] = 0.0
+        config["experiment"] = experiment
+        if realizations is None:
+            del config["execution"]["realizations"]
+        else:
+            config["execution"]["realizations"] = realizations
+        return config
+
+    @pytest.mark.parametrize("site,message", [
+        ("lifshitz_fit", "only 2 usable points"),
+        ("combes_thomas", "sits on the spectrum"),
+        ("m_regularity", "zero probe would be singular"),
+        ("msa_schedule", "recursion stalls"),
+    ])
+    def test_numerical_failure_sites_exit_three(self, tmp_path, capsys, site, message):
+        config = {
+            "lifshitz_fit": _lifshitz_config(),
+            "combes_thomas": self._chain_config(
+                {"kind": "ct-decay", "cells": 5, "z_real": 2.0, "max_distance": 2}),
+            "m_regularity": self._chain_config(
+                {"kind": "m-regularity", "side": 25, "energy": 2.0, "mass": 0.2,
+                 "eps_probes": [0.0]}, realizations=1),
+            "msa_schedule": _msa_config(zeta=1.01),
+        }[site]
+        if site == "lifshitz_fit":
+            # two energies carry IDS mass in [0.01, 0.06]: too few to fit
+            config["experiment"].update(mass_low=0.01, mass_high=0.06)
+        kind = config["experiment"]["kind"]
+        path = _write(tmp_path, config)
+        assert main([kind, "--config", path, "--out", str(tmp_path / "runs")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure:" in err
+        assert message in err
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
+    def test_other_exceptions_are_not_numerical_failures(self, tmp_path, monkeypatch,
+                                                         error):
+        def broken(*args):
+            raise error("injected")
+
+        monkeypatch.setitem(runner._DISPATCH, "ids", broken)
+        path = _write(tmp_path, _ids_config())
+        with pytest.raises(error, match="injected"):
+            main(["ids", "--config", path, "--out", str(tmp_path / "runs")])
 
     def test_failing_check_exits_four(self, tmp_path, capsys):
         config = _ids_config()
