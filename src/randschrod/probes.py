@@ -216,7 +216,6 @@ def gap_probability(
     if theta0 is None:
         boundary = "periodic"
     else:
-        model.wrap_phases((side - 1) // 2, theta0)  # rejects theta0 outside the zone
         boundary = "theta(" + ",".join(f"{t:.6g}" for t in theta0) + ")"
 
     window = float(side) ** (-alpha)
