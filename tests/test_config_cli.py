@@ -86,6 +86,20 @@ def _m_regularity_config():
     return config
 
 
+def _free_chain_config(experiment, realizations=None):
+    # one point per cell and no disorder: the Dirichlet box of n sites has
+    # the eigenvalue 2 - 2cos(pi/2), within rounding of 2, when n is odd
+    config = _ids_config()
+    config["model"]["points_per_cell"] = 1
+    config["model"]["disorder"]["omega_max"] = 0.0
+    config["experiment"] = experiment
+    if realizations is None:
+        del config["execution"]["realizations"]
+    else:
+        config["execution"]["realizations"] = realizations
+    return config
+
+
 def _msa_config(zeta=1.5):
     return {
         "model": {
@@ -420,20 +434,6 @@ class TestCli:
         assert len(markers) == 1
         assert not (markers[0].parent / "result.json").exists()
 
-    @staticmethod
-    def _chain_config(experiment, realizations=None):
-        # free chain at one point per cell: the Dirichlet box of n sites has
-        # an eigenvalue 2 - 2cos(pi/2) within rounding of 2 when n is odd
-        config = _ids_config()
-        config["model"]["points_per_cell"] = 1
-        config["model"]["disorder"]["omega_max"] = 0.0
-        config["experiment"] = experiment
-        if realizations is None:
-            del config["execution"]["realizations"]
-        else:
-            config["execution"]["realizations"] = realizations
-        return config
-
     @pytest.mark.parametrize("site,message", [
         ("lifshitz_fit", "only 2 usable points"),
         ("combes_thomas", "sits on the spectrum"),
@@ -443,9 +443,9 @@ class TestCli:
     def test_numerical_failure_sites_exit_three(self, tmp_path, capsys, site, message):
         config = {
             "lifshitz_fit": _lifshitz_config(),
-            "combes_thomas": self._chain_config(
+            "combes_thomas": _free_chain_config(
                 {"kind": "ct-decay", "cells": 5, "z_real": 2.0, "max_distance": 2}),
-            "m_regularity": self._chain_config(
+            "m_regularity": _free_chain_config(
                 {"kind": "m-regularity", "side": 25, "energy": 2.0, "mass": 0.2,
                  "eps_probes": [0.0]}, realizations=1),
             "msa_schedule": _msa_config(zeta=1.01),

@@ -180,8 +180,7 @@ class TestGapProbability:
         [(5, (0.3,), (30, 6)), (7, (-0.2,), (32, 5)), (9, (0.1,), (33, 5))],
     )
     def test_theta0_hits_are_pinned(self, side, theta0, hits):
-        # hit counts of the box assembled at theta0, recorded before the
-        # hit test moved onto the Bloch operator
+        # hit counts of the boxes that periodic_box_at assembles at theta0
         model = AndersonModel.free(points_per_cell=2, omega_max=1.0, master_seed=11)
         got = tuple(gap_probability(model, side, alpha, 40, theta0).hits
                     for alpha in (0.25, 0.5))
