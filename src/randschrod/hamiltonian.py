@@ -477,8 +477,8 @@ class AssembledHamiltonian:
         bonds = [(src * n + dst, dst * n + src, w) for src, dst, w in _wrap_bonds(self.grid)]
         touched = np.concatenate([np.concatenate(bond[:2]) for bond in bonds])
         cut = entries[touched]
-        rows = []
-        for bc in bcs:
+        rows = np.empty((len(bcs), n))
+        for i, bc in enumerate(bcs):
             if bc.kind != "theta" or len(bc.theta) != self.grid.dimension:
                 raise ValueError(f"need {self.grid.dimension} theta phases, got {bc}")
             entries[touched] = cut
@@ -486,8 +486,8 @@ class AssembledHamiltonian:
                 hop = _wrap_hop(w, phase)
                 entries[fwd] += hop
                 entries[bwd] += np.conj(hop)
-            rows.append(scipy.linalg.eigvalsh(work))
-        return np.array(rows)
+            rows[i] = scipy.linalg.eigvalsh(work)
+        return rows
 
     def with_matrix(self, matrix: scipy.sparse.csr_matrix, label: str) -> "AssembledHamiltonian":
         return AssembledHamiltonian(matrix, self.grid, self.bc, label)
