@@ -465,9 +465,10 @@ class AssembledHamiltonian:
         entries restart from A and the hops are added to them, as assembly
         adds them: on a one-point axis a bond sits on the diagonal and adds
         -2w cos(theta_a), on a two-point axis it adds to the interior bond.
-        So row i is ``eigenvalues()`` of the box assembled under ``bcs[i]``,
-        entry for entry wherever every axis has at least 2 points; on a
-        one-point axis the diagonal sums its terms in another order.
+        Wherever every axis has at least 2 points, H(theta) is the box
+        assembled under ``bcs[i]`` entry for entry and row i is its
+        ``eigenvalues()``; on a one-point axis the diagonal sums its terms
+        in another order.
         """
         if self.bc.wraps:
             raise ValueError(f"the Bloch operator starts from a Dirichlet box, not {self.bc.kind}")
