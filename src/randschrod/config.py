@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 import yaml
@@ -38,6 +38,50 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+_REQUIRED = object()  # default of a key that must be given
+_OPTIONAL = object()  # default of a key that may be left out and stays out
+
+
+class Field(NamedTuple):
+    """One key of a block.
+
+    ``type`` is a key of ``_TYPES``, a tuple of allowed values, or a nested
+    block (``Schema`` or ``Tagged``).  ``default`` is a value, ``_REQUIRED``,
+    ``_OPTIONAL``, or a predicate on the block that makes the key required
+    where it holds.  ``strict`` makes both bounds exclusive; the bound of an
+    "ints" field applies to its items.
+    """
+
+    type: Any
+    default: Any = _REQUIRED
+    lo: float | None = None
+    hi: float | None = None
+    strict: bool = False
+
+
+class Schema(NamedTuple):
+    """The table of one block.
+
+    A rule is (names, fn): when every named key of the block holds a value
+    of its type (bounds aside), ``fn(*values)`` returns a list of messages
+    relative to the block, or a false value.  An experiment kind also
+    gives the field that execution.realizations must satisfy.
+    """
+
+    fields: dict[str, Field]
+    rules: tuple = ()
+    realizations: Field = Field("int", _OPTIONAL, lo=1)
+
+
+class Tagged(NamedTuple):
+    """A block whose ``tag`` key picks its schema."""
+
+    tag: str
+    schemas: dict[str, Schema]
+    unknown: str  # message for a tag with no schema, formatted with the tag
+    default: Any = _REQUIRED
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -46,416 +90,215 @@ def _is_num(v) -> bool:
     return (isinstance(v, (int, float)) and not isinstance(v, bool))
 
 
-def _req(block: dict, key: str, path: str, errors: list[str]) -> Any:
-    if key not in block:
-        errors.append(f"{path}.{key}: required key is missing")
-        return None
-    return block[key]
+_TYPES = {  # type -> (test, message formatted with the value)
+    "int": (_is_int, "expected an integer, got {!r}"),
+    "num": (_is_num, "expected a number, got {!r}"),
+    "bool": (lambda v: isinstance(v, bool), "expected a boolean"),
+    "str": (lambda v: isinstance(v, str) and v != "", "expected a nonempty string"),
+    "ints": (lambda v: isinstance(v, list) and v != [], "expected a nonempty list of integers"),
+    "nums": (lambda v: isinstance(v, list) and all(map(_is_num, v)),
+             "expected a list of numbers"),
+    "any": (lambda v: True, ""),
+}
 
 
-def _check_unknown(block: dict, allowed: set[str], path: str, errors: list[str]) -> None:
-    for key in block:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key")
+def _defaults(schema: Schema) -> dict:
+    return {key: f.default for key, f in schema.fields.items()
+            if f.default is not _REQUIRED and f.default is not _OPTIONAL
+            and not callable(f.default)}
 
 
-def _check_int(v, path: str, errors: list[str], lo=None, hi=None) -> None:
-    if v is None:
-        return
-    if not _is_int(v):
-        errors.append(f"{path}: expected an integer, got {v!r}")
-    elif lo is not None and v < lo:
-        errors.append(f"{path}: must be >= {lo}, got {v}")
-    elif hi is not None and v > hi:
-        errors.append(f"{path}: must be <= {hi}, got {v}")
+def _check(value, field: Field, path: str, errors: list[str]) -> bool:
+    """Append the problems of one value to ``errors``; True when its type is right."""
+    kind = field.type
+    if value is None and (field.default is None or field.default is _REQUIRED
+                          or kind in ("int", "num", "ints")):
+        return False
+    if isinstance(kind, (Schema, Tagged)):
+        _check_block(value, kind, path, errors)
+        return False
+    if isinstance(kind, tuple):
+        test, message = kind.__contains__, f"must be {' or '.join(map(str, kind))}, got {{!r}}"
+    else:
+        test, message = _TYPES[kind]
+    if not test(value):
+        errors.append(f"{path}: " + message.format(value))
+        return False
+    if kind == "ints":
+        for i, item in enumerate(value):
+            _check(item, Field("int", lo=field.lo), f"{path}[{i}]", errors)
+    elif kind in ("int", "num"):
+        lo, hi = field.lo, field.hi
+        if lo is not None and (value <= lo if field.strict else value < lo):
+            errors.append(f"{path}: must be {'>' if field.strict else '>='} {lo}, got {value}")
+        if hi is not None and (value >= hi if field.strict else value > hi):
+            errors.append(f"{path}: must be {'<' if field.strict else '<='} {hi}, got {value}")
+    return True
 
 
-def _check_num(v, path: str, errors: list[str], lo=None, hi=None,
-               lo_open=False, hi_open=False) -> None:
-    if v is None:
-        return
-    if not _is_num(v):
-        errors.append(f"{path}: expected a number, got {v!r}")
-        return
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        op = ">" if lo_open else ">="
-        errors.append(f"{path}: must be {op} {lo}, got {v}")
-    if hi is not None and (v >= hi if hi_open else v > hi):
-        op = "<" if hi_open else "<="
-        errors.append(f"{path}: must be {op} {hi}, got {v}")
-
-
-def _check_int_list(v, path: str, errors: list[str], lo=None) -> None:
-    if v is None:
-        return
-    if not isinstance(v, list) or not v:
-        errors.append(f"{path}: expected a nonempty list of integers")
-        return
-    for i, item in enumerate(v):
-        _check_int(item, f"{path}[{i}]", errors, lo=lo)
-
-
-def _validate_model(model: Any, errors: list[str]) -> None:
-    if not isinstance(model, dict):
-        errors.append("model: expected a mapping")
-        return
-    _check_unknown(
-        model,
-        {"dimension", "points_per_cell", "v0", "single_site", "disorder", "align_edge"},
-        "model",
-        errors,
-    )
-    dim = _req(model, "dimension", "model", errors)
-    if dim is not None and dim not in (1, 2):
-        errors.append(f"model.dimension: must be 1 or 2, got {dim!r}")
-    _check_int(_req(model, "points_per_cell", "model", errors),
-               "model.points_per_cell", errors, lo=1)
-
-    v0 = _req(model, "v0", "model", errors)
-    if v0 is not None:
-        if not isinstance(v0, dict):
-            errors.append("model.v0: expected a mapping")
-        else:
-            kind = _req(v0, "kind", "model.v0", errors)
-            if kind == "zero":
-                _check_unknown(v0, {"kind"}, "model.v0", errors)
-            elif kind == "cosine":
-                _check_unknown(v0, {"kind", "amplitude"}, "model.v0", errors)
-                _check_num(_req(v0, "amplitude", "model.v0", errors),
-                           "model.v0.amplitude", errors, lo=0.0)
-            elif kind == "values":
-                _check_unknown(v0, {"kind", "cell_values"}, "model.v0", errors)
-                if "cell_values" not in v0:
-                    errors.append("model.v0.cell_values: required key is missing")
-            elif kind is not None:
-                errors.append(f"model.v0.kind: unknown kind {kind!r}")
-
-    u = _req(model, "single_site", "model", errors)
-    if u is not None:
-        if not isinstance(u, dict):
-            errors.append("model.single_site: expected a mapping")
-        else:
-            kind = _req(u, "kind", "model.single_site", errors)
-            if kind == "box":
-                _check_unknown(u, {"kind", "strength", "diameter"},
-                               "model.single_site", errors)
-                _check_num(_req(u, "strength", "model.single_site", errors),
-                           "model.single_site.strength", errors, lo=0.0, lo_open=True)
-                _check_num(_req(u, "diameter", "model.single_site", errors),
-                           "model.single_site.diameter", errors, lo=0.0, lo_open=True)
-            elif kind == "exponential":
-                u = {**_SINGLE_SITE_DEFAULTS["exponential"], **u}
-                _check_unknown(u, {"kind", "strength", "diameter", "decay_rate",
-                                   "tail_floor"}, "model.single_site", errors)
-                _check_num(_req(u, "strength", "model.single_site", errors),
-                           "model.single_site.strength", errors, lo=0.0, lo_open=True)
-                _check_num(_req(u, "diameter", "model.single_site", errors),
-                           "model.single_site.diameter", errors, lo=0.0, lo_open=True)
-                _check_num(_req(u, "decay_rate", "model.single_site", errors),
-                           "model.single_site.decay_rate", errors, lo=0.0, lo_open=True)
-                _check_num(u["tail_floor"],
-                           "model.single_site.tail_floor", errors, lo=0.0, lo_open=True)
-            elif kind is not None:
-                errors.append(f"model.single_site.kind: unknown kind {kind!r}")
-
-    dis = _req(model, "disorder", "model", errors)
-    if dis is not None:
-        if not isinstance(dis, dict):
-            errors.append("model.disorder: expected a mapping")
-        else:
-            dis = {**_DISORDER_DEFAULTS, **dis}
-            law = dis["law"]
-            if law not in ("uniform", "beta"):
-                errors.append(f"model.disorder.law: must be uniform or beta, got {law!r}")
-            allowed = {"law", "omega_max"} | ({"a", "b"} if law == "beta" else set())
-            _check_unknown(dis, allowed, "model.disorder", errors)
-            _check_num(_req(dis, "omega_max", "model.disorder", errors),
-                       "model.disorder.omega_max", errors, lo=0.0)
-            if law == "beta":
-                _check_num(_req(dis, "a", "model.disorder", errors),
-                           "model.disorder.a", errors, lo=1.0)
-                _check_num(_req(dis, "b", "model.disorder", errors),
-                           "model.disorder.b", errors, lo=1.0)
-
-    align = {**_MODEL_DEFAULTS, **model}["align_edge"]
-    if not isinstance(align, bool):
-        errors.append(f"model.align_edge: expected a boolean, got {align!r}")
-
-
-def _plateau_checks(params: dict, path: str, errors: list[str]) -> None:
-    _check_num(_req(params, "plateau_energy", path, errors),
-               f"{path}.plateau_energy", errors, lo=0.0, lo_open=True)
-    _check_int(params["plateau_order"], f"{path}.plateau_order", errors, lo=1)
-
-
-# per-kind parameter schemas: key -> (validator, required)
-def _validate_experiment(exp: Any, errors: list[str]) -> None:
-    if not isinstance(exp, dict):
-        errors.append("experiment: expected a mapping")
-        return
-    kind = _req(exp, "kind", "experiment", errors)
-    if kind is None:
-        return
-    if kind not in EXPERIMENT_KINDS:
-        errors.append(
-            f"experiment.kind: unknown kind {kind!r}; expected one of "
-            + ", ".join(sorted(EXPERIMENT_KINDS))
-        )
-        return
-    path = "experiment"
-    p = {**_EXPERIMENT_DEFAULTS[kind], **exp}
-
-    if kind == "bandstructure":
-        _check_unknown(p, {"kind", "half_width", "resolution", "num_bands",
-                           "realization", "check_regularity"}, path, errors)
-        _check_int(p["half_width"], f"{path}.half_width", errors, lo=0)
-        _check_int(p["resolution"], f"{path}.resolution", errors, lo=3)
-        _check_int(p["num_bands"], f"{path}.num_bands", errors, lo=1)
-        r = p["realization"]
-        if r is not None:
-            _check_int(r, f"{path}.realization", errors, lo=0)
-        if not isinstance(p["check_regularity"], bool):
-            errors.append(f"{path}.check_regularity: expected a boolean")
-
-    elif kind == "ids":
-        _check_unknown(p, {"kind", "method", "half_width", "cells", "theta_resolution",
-                           "energy_min", "energy_max", "energy_points"}, path, errors)
-        method = p["method"]
-        if method not in ("brillouin", "dirichlet"):
-            errors.append(f"{path}.method: must be brillouin or dirichlet, got {method!r}")
-        if method == "brillouin":
-            _check_int(_req(p, "half_width", path, errors), f"{path}.half_width",
-                       errors, lo=1)
-            _check_int(p["theta_resolution"], f"{path}.theta_resolution",
-                       errors, lo=1)
-        else:
-            _check_int(_req(p, "cells", path, errors), f"{path}.cells", errors, lo=2)
-        _check_num(_req(p, "energy_min", path, errors), f"{path}.energy_min", errors)
-        _check_num(_req(p, "energy_max", path, errors), f"{path}.energy_max", errors)
-        if (_is_num(p.get("energy_min")) and _is_num(p.get("energy_max"))
-                and p["energy_min"] >= p["energy_max"]):
-            errors.append(f"{path}.energy_min: must be below energy_max")
-        _check_int(p["energy_points"], f"{path}.energy_points", errors, lo=2)
-
-    elif kind == "lifshitz":
-        _check_unknown(p, {"kind", "cells", "energy_min", "energy_max", "energy_points",
-                           "mass_low", "mass_high", "edge", "eigen_cutoff"}, path, errors)
-        _check_int(_req(p, "cells", path, errors), f"{path}.cells", errors, lo=10)
-        _check_num(p["edge"], f"{path}.edge", errors)
-        _check_num(p["mass_low"], f"{path}.mass_low", errors,
-                   lo=0.0, lo_open=True)
-        _check_num(p["mass_high"], f"{path}.mass_high", errors,
-                   lo=0.0, lo_open=True, hi=0.5, hi_open=True)
-        e_lo = _req(p, "energy_min", path, errors)
-        e_hi = _req(p, "energy_max", path, errors)
-        _check_num(e_lo, f"{path}.energy_min", errors)
-        _check_num(e_hi, f"{path}.energy_max", errors)
-        edge = p["edge"]
-        if _is_num(e_lo) and _is_num(edge) and e_lo <= edge:
-            errors.append(f"{path}.energy_min: must lie above the edge {edge}")
-        if _is_num(e_lo) and _is_num(e_hi) and e_lo >= e_hi:
-            errors.append(f"{path}.energy_min: must be below energy_max")
-        _check_int(p["energy_points"], f"{path}.energy_points", errors, lo=10)
-        ec = p["eigen_cutoff"]
-        if ec is not None:
-            _check_num(ec, f"{path}.eigen_cutoff", errors)
-
-    elif kind == "ids-diff":
-        _check_unknown(p, {"kind", "half_widths", "reference_half_width",
-                           "theta_resolution", "plateau_energy", "plateau_order"},
-                       path, errors)
-        _check_int_list(_req(p, "half_widths", path, errors), f"{path}.half_widths",
-                        errors, lo=1)
-        rhw = p["reference_half_width"]
-        if rhw is not None:
-            _check_int(rhw, f"{path}.reference_half_width", errors, lo=1)
-        _check_int(p["theta_resolution"], f"{path}.theta_resolution",
-                   errors, lo=1)
-        _plateau_checks(p, path, errors)
-
-    elif kind == "hs-check":
-        _check_unknown(p, {"kind", "matrix_dim", "matrices", "order", "x_points",
-                           "y_panels", "y_subnodes", "eps_y", "scheme", "refine",
-                           "plateau_energy", "plateau_order"},
-                       path, errors)
-        _check_int(p["matrix_dim"], f"{path}.matrix_dim", errors, lo=2)
-        _check_int(p["matrices"], f"{path}.matrices", errors, lo=1)
-        order = p["order"]
-        _check_int(order, f"{path}.order", errors, lo=1)
-        _check_int(p["x_points"], f"{path}.x_points", errors, lo=8)
-        _check_int(p["y_panels"], f"{path}.y_panels", errors, lo=1)
-        _check_int(p["y_subnodes"], f"{path}.y_subnodes", errors, lo=1)
-        eps_y = p["eps_y"]
-        _check_num(eps_y, f"{path}.eps_y", errors, lo=0.0)
-        if _is_num(eps_y) and eps_y == 0.0 and _is_int(order) and order < 2:
-            errors.append(f"{path}.order: must be >= 2 when eps_y = 0")
-        scheme = p["scheme"]
-        if scheme not in ("midpoint", "gauss"):
-            errors.append(f"{path}.scheme: must be midpoint or gauss, got {scheme!r}")
-        if not isinstance(p["refine"], bool):
-            errors.append(f"{path}.refine: expected a boolean")
-        _plateau_checks(p, path, errors)
-
-    elif kind == "ct-decay":
-        _check_unknown(p, {"kind", "cells", "z_real", "z_imag", "max_distance",
-                           "realization"}, path, errors)
-        _check_int(_req(p, "cells", path, errors), f"{path}.cells", errors, lo=3)
-        _check_num(_req(p, "z_real", path, errors), f"{path}.z_real", errors)
-        _check_num(p["z_imag"], f"{path}.z_imag", errors)
-        _check_int(_req(p, "max_distance", path, errors), f"{path}.max_distance",
-                   errors, lo=1)
-        r = p["realization"]
-        if r is not None:
-            _check_int(r, f"{path}.realization", errors, lo=0)
-
-    elif kind == "gap-prob":
-        _check_unknown(p, {"kind", "sides", "alpha", "theta0"}, path, errors)
-        sides = _req(p, "sides", path, errors)
-        _check_int_list(sides, f"{path}.sides", errors, lo=3)
-        for i, side in enumerate(sides if isinstance(sides, list) else []):
-            if _is_int(side) and side % 2 == 0:
-                errors.append(f"{path}.sides[{i}]: must be odd (2l+1 cells), got {side}")
-        _check_num(_req(p, "alpha", path, errors), f"{path}.alpha", errors,
-                   lo=0.0, lo_open=True, hi=1.0, hi_open=True)
-        t0 = p["theta0"]
-        if t0 is not None:
-            if not isinstance(t0, list) or not all(_is_num(t) for t in t0):
-                errors.append(f"{path}.theta0: expected a list of numbers")
-
-    elif kind == "theta-bounds":
-        _check_unknown(p, {"kind", "half_width", "energy", "theta_resolution",
-                           "theta0", "xi"}, path, errors)
-        _check_int(_req(p, "half_width", path, errors), f"{path}.half_width",
-                   errors, lo=1)
-        _check_num(_req(p, "energy", path, errors), f"{path}.energy", errors,
-                   lo=0.0, lo_open=True, hi=1.0, hi_open=True)
-        _check_int(p["theta_resolution"], f"{path}.theta_resolution",
-                   errors, lo=1)
-        t0 = p["theta0"]
-        if t0 is not None:
-            if not isinstance(t0, list) or not all(_is_num(t) for t in t0):
-                errors.append(f"{path}.theta0: expected a list of numbers")
-            _check_num(_req(p, "xi", path, errors), f"{path}.xi", errors, lo=0.0)
-
-    elif kind == "msa-schedule":
-        _check_unknown(p, {"kind", "l0", "m0", "q0", "zeta", "steps",
-                           "c1", "c2", "c3", "xi"}, path, errors)
-        l0 = _req(p, "l0", path, errors)
-        _check_int(l0, f"{path}.l0", errors, lo=6)
-        if _is_int(l0) and l0 % 3 != 0:
-            errors.append(f"{path}.l0: must be a multiple of 3, got {l0}")
-        _check_num(_req(p, "m0", path, errors), f"{path}.m0", errors,
-                   lo=0.0, lo_open=True)
-        _check_num(_req(p, "q0", path, errors), f"{path}.q0", errors)
-        zeta = _req(p, "zeta", path, errors)
-        if zeta is not None and (not _is_num(zeta) or not 1.0 < zeta < 2.0):
-            errors.append(f"{path}.zeta: must lie in ]1,2[, got {zeta!r}")
-        _check_int(p["steps"], f"{path}.steps", errors, lo=1)
-        for c in ("c1", "c2"):
-            _check_num(p[c], f"{path}.{c}", errors, lo=0.0)
-        _check_num(p["c3"], f"{path}.c3", errors, lo=0.0, lo_open=True)
-        _check_num(p["xi"], f"{path}.xi", errors, lo=0.0, lo_open=True)
-
-    elif kind == "m-regularity":
-        _check_unknown(p, {"kind", "side", "delta", "mass", "energy", "eps_probes"},
-                       path, errors)
-        side = _req(p, "side", path, errors)
-        _check_int(side, f"{path}.side", errors, lo=6)
-        delta = p["delta"]
-        _check_num(delta, f"{path}.delta", errors, lo=0.0, lo_open=True)
-        if _is_int(side) and _is_num(delta) and side < 12 * delta:
-            errors.append(f"{path}.side: must be >= 12 * delta = {12 * delta}")
-        _check_num(_req(p, "mass", path, errors), f"{path}.mass", errors,
-                   lo=0.0, lo_open=True)
-        _check_num(_req(p, "energy", path, errors), f"{path}.energy", errors)
-        probes = p["eps_probes"]
-        if not isinstance(probes, list) or not all(_is_num(e) for e in probes):
-            errors.append(f"{path}.eps_probes: expected a list of numbers")
-
-
-EXPERIMENT_KINDS = (
-    "bandstructure",
-    "ids",
-    "lifshitz",
-    "ids-diff",
-    "hs-check",
-    "ct-decay",
-    "gap-prob",
-    "theta-bounds",
-    "msa-schedule",
-    "m-regularity",
-)
-
-# experiments that draw disorder realizations and need execution.realizations
-_SAMPLED = {"ids", "lifshitz", "ids-diff", "gap-prob", "theta-bounds", "m-regularity"}
-
-
-def _validate_execution(block: Any, kind: str | None, errors: list[str]) -> None:
+def _check_block(block, schema, path: str, errors: list[str]) -> None:
     if not isinstance(block, dict):
-        errors.append("execution: expected a mapping")
+        errors.append(f"{path}: expected a mapping")
         return
-    _check_unknown(block, {"master_seed", "realizations", "threads", "output_dir"},
-                   "execution", errors)
-    _check_int(_req(block, "master_seed", "execution", errors),
-               "execution.master_seed", errors, lo=0)
-    if kind in _SAMPLED:
-        m = _req(block, "realizations", "execution", errors)
-        lo = 2 if kind in ("ids-diff",) else 1
-        _check_int(m, "execution.realizations", errors, lo=lo)
-    elif "realizations" in block:
-        _check_int(block["realizations"], "execution.realizations", errors, lo=1)
-    _check_int(block.get("threads"), "execution.threads", errors, lo=1)
-    out = {**_EXECUTION_DEFAULTS, **block}["output_dir"]
-    if not isinstance(out, str) or not out:
-        errors.append("execution.output_dir: expected a nonempty string")
+    tag_key = None
+    if isinstance(schema, Tagged):
+        tag_key, tag = schema.tag, block.get(schema.tag, schema.default)
+        if tag is _REQUIRED:
+            errors.append(f"{path}.{tag_key}: required key is missing")
+            return
+        if tag is None and schema.default is _REQUIRED:
+            return
+        if not isinstance(tag, str) or tag not in schema.schemas:
+            errors.append(f"{path}.{tag_key}: " + schema.unknown.format(tag))
+            return
+        schema = schema.schemas[tag]
+    errors.extend(f"{path}.{key}: unknown key" for key in block
+                  if key not in schema.fields and key != tag_key)
+    merged = {**_defaults(schema), **block}
+    typed = _defaults(schema)
+    for key, field in schema.fields.items():
+        if key in block:
+            if _check(block[key], field, f"{path}.{key}", errors):
+                typed[key] = block[key]
+        elif field.default is _REQUIRED or callable(field.default) and field.default(merged):
+            errors.append(f"{path}.{key}: required key is missing")
+    for names, rule in schema.rules:
+        if all(name in typed for name in names):
+            errors.extend(f"{path}.{m}" for m in rule(*map(typed.get, names)) or ())
+
+
+def _int(lo, default=_REQUIRED) -> Field:
+    return Field("int", default, lo)
+
+
+def _num(lo=None, hi=None, default=_REQUIRED, strict=False) -> Field:
+    return Field("num", default, lo, hi, strict)
+
+
+def _pos(default=_REQUIRED) -> Field:
+    return _num(0.0, default=default, strict=True)
+
+
+_BUMP = {"strength": _pos(), "diameter": _pos()}
+_MODEL = Schema({
+    "dimension": Field((1, 2)),
+    "points_per_cell": _int(1),
+    "v0": Field(Tagged("kind", {
+        "zero": Schema({}),
+        "cosine": Schema({"amplitude": _num(0.0)}),
+        "values": Schema({"cell_values": Field("any")}),
+    }, "unknown kind {!r}")),
+    "single_site": Field(Tagged("kind", {
+        "box": Schema(_BUMP),
+        "exponential": Schema({**_BUMP, "decay_rate": _pos(), "tail_floor": _pos(1e-10)}),
+    }, "unknown kind {!r}")),
+    "disorder": Field(Tagged("law", {
+        "uniform": Schema({"omega_max": _num(0.0)}),
+        "beta": Schema({"omega_max": _num(0.0), "a": _num(1.0), "b": _num(1.0)}),
+    }, "must be uniform or beta, got {!r}", default="uniform")),
+    "align_edge": Field("bool", False),
+})
+
+_SAMPLED = _int(1)  # execution.realizations of a kind that draws disorder
+_PLATEAU = {"plateau_energy": _pos(), "plateau_order": _int(1, 4)}
+_ENERGIES = {"energy_min": _num(), "energy_max": _num()}
+_WINDOW = (("energy_min", "energy_max"),
+           lambda lo, hi: lo >= hi and ["energy_min: must be below energy_max"])
+_KINDS = {
+    "bandstructure": Schema({
+        "half_width": _int(0, 0), "resolution": _int(3, 65), "num_bands": _int(1, 1),
+        "realization": _int(0, None), "check_regularity": Field("bool", False),
+    }),
+    "ids": Schema({
+        "method": Field(("brillouin", "dirichlet"), "brillouin"),
+        "half_width": _int(1, lambda p: p["method"] == "brillouin"),
+        "cells": _int(2, lambda p: p["method"] != "brillouin"),
+        "theta_resolution": _int(1, 8), **_ENERGIES, "energy_points": _int(2, 201),
+    }, (_WINDOW,), _SAMPLED),
+    "lifshitz": Schema({
+        "cells": _int(10), "edge": _num(default=0.0), "mass_low": _pos(1e-4),
+        "mass_high": _num(0.0, 0.5, 1e-1, strict=True), **_ENERGIES,
+        "energy_points": _int(10, 400), "eigen_cutoff": _num(default=None),
+    }, (_WINDOW, (("energy_min", "edge"), lambda lo, edge: lo <= edge and [
+        f"energy_min: must lie above the edge {edge}"])), _SAMPLED),
+    "ids-diff": Schema({
+        "half_widths": Field("ints", lo=1), "reference_half_width": _int(1, None),
+        "theta_resolution": _int(1, 8), **_PLATEAU,
+    }, (), _int(2)),
+    "hs-check": Schema({
+        "matrix_dim": _int(2, 20), "matrices": _int(1, 25), "order": _int(1, 4),
+        "x_points": _int(8, 128), "y_panels": _int(1, 18), "y_subnodes": _int(1, 6),
+        "eps_y": _num(0.0, default=0.0), "scheme": Field(("midpoint", "gauss"), "gauss"),
+        "refine": Field("bool", True), **_PLATEAU,
+    }, ((("eps_y", "order"), lambda eps_y, order: eps_y == 0.0 and order < 2 and [
+        "order: must be >= 2 when eps_y = 0"]),)),
+    "ct-decay": Schema({
+        "cells": _int(3), "z_real": _num(), "z_imag": _num(default=0.0),
+        "max_distance": _int(1), "realization": _int(0, None),
+    }),
+    "gap-prob": Schema({
+        "sides": Field("ints", lo=3), "alpha": _num(0.0, 1.0, strict=True),
+        "theta0": Field("nums", None),
+    }, ((("sides",), lambda sides: [
+        f"sides[{i}]: must be odd (2l+1 cells), got {side}"
+        for i, side in enumerate(sides) if _is_int(side) and side % 2 == 0]),), _SAMPLED),
+    "theta-bounds": Schema({
+        "half_width": _int(1), "energy": _num(0.0, 1.0, strict=True),
+        "theta_resolution": _int(1, 8), "theta0": Field("nums", None),
+        "xi": _num(0.0, default=lambda p: p["theta0"] is not None),
+    }, (), _SAMPLED),
+    "msa-schedule": Schema({
+        "l0": _int(6), "m0": _pos(), "q0": _num(), "zeta": Field("any"),
+        "steps": _int(1, 10), "c1": _num(0.0, default=0.0), "c2": _num(0.0, default=0.0),
+        "c3": _pos(1.0), "xi": _pos(2.0),
+    }, ((("l0",), lambda l0: l0 % 3 != 0 and [f"l0: must be a multiple of 3, got {l0}"]),
+        (("zeta",), lambda zeta: not (_is_num(zeta) and 1.0 < zeta < 2.0) and [
+            f"zeta: must lie in ]1,2[, got {zeta!r}"]))),
+    "m-regularity": Schema({
+        "side": _int(6), "delta": _pos(2.0), "mass": _pos(), "energy": _num(),
+        "eps_probes": Field("nums", [1e-1, 1e-2, 1e-3, 1e-4]),
+    }, ((("side", "delta"), lambda side, delta: side < 12 * delta and [
+        f"side: must be >= 12 * delta = {12 * delta}"]),), _SAMPLED),
+}
+_EXPERIMENT = Tagged("kind", _KINDS, "unknown kind {!r}; expected one of "
+                     + ", ".join(sorted(_KINDS)))
+_EXECUTION = Schema({
+    "master_seed": _int(0), "realizations": _int(1, _OPTIONAL),
+    "threads": _int(1, _OPTIONAL), "output_dir": Field("str", "runs"),
+})
+
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def validate_config(config: Any) -> list[str]:
     """Full range/consistency check; returns every problem found."""
-    errors: list[str] = []
     if not isinstance(config, dict):
         return ["config root: expected a mapping with model/experiment/execution"]
-    _check_unknown(config, {"model", "experiment", "execution"}, "config", errors)
-    for key in ("model", "experiment", "execution"):
-        if key not in config:
-            errors.append(f"config.{key}: required block is missing")
-    if "model" in config:
-        _validate_model(config["model"], errors)
-    kind = None
-    if "experiment" in config:
-        _validate_experiment(config["experiment"], errors)
-        if isinstance(config["experiment"], dict):
-            kind = config["experiment"].get("kind")
-    if "execution" in config:
-        _validate_execution(config["execution"], kind, errors)
+    blocks = ("model", "experiment", "execution")
+    errors = [f"config.{key}: unknown key" for key in config if key not in blocks]
+    errors += [f"config.{key}: required block is missing" for key in blocks
+               if key not in config]
+    exp = config.get("experiment")
+    kind = _KINDS.get(exp.get("kind")) if isinstance(exp, dict) else None
+    execution = (Schema(_EXECUTION.fields | {"realizations": kind.realizations})
+                 if kind else _EXECUTION)
+    for key, schema in zip(blocks, (_MODEL, _EXPERIMENT, execution)):
+        if key in config:
+            _check_block(config[key], schema, key, errors)
     return errors
 
 
-# Defaults of optional keys: validation checks them and resolve_config
-# writes them into the resolved config.
-_EXECUTION_DEFAULTS = {"output_dir": "runs"}
-_MODEL_DEFAULTS = {"align_edge": False}
-
-_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "bandstructure": {"half_width": 0, "resolution": 65, "num_bands": 1,
-                      "realization": None, "check_regularity": False},
-    "ids": {"method": "brillouin", "theta_resolution": 8, "energy_points": 201},
-    "lifshitz": {"edge": 0.0, "mass_low": 1e-4, "mass_high": 1e-1,
-                 "energy_points": 400, "eigen_cutoff": None},
-    "ids-diff": {"reference_half_width": None, "theta_resolution": 8,
-                 "plateau_order": 4},
-    "hs-check": {"matrix_dim": 20, "matrices": 25, "order": 4, "x_points": 128,
-                 "y_panels": 18, "y_subnodes": 6, "eps_y": 0.0,
-                 "scheme": "gauss", "refine": True, "plateau_order": 4},
-    "ct-decay": {"z_imag": 0.0, "realization": None},
-    "gap-prob": {"theta0": None},
-    "theta-bounds": {"theta_resolution": 8, "theta0": None},
-    "msa-schedule": {"steps": 10, "c1": 0.0, "c2": 0.0, "c3": 1.0, "xi": 2.0},
-    "m-regularity": {"delta": 2.0, "eps_probes": [1e-1, 1e-2, 1e-3, 1e-4]},
-}
-
-_DISORDER_DEFAULTS = {"law": "uniform"}
-_SINGLE_SITE_DEFAULTS = {"exponential": {"tail_floor": 1e-10}}
+def _fill(block: dict, schema: Schema) -> None:
+    """Write the defaults of ``schema`` into ``block`` and its nested blocks."""
+    for key, value in _defaults(schema).items():
+        block.setdefault(key, value)
+    for key, field in schema.fields.items():
+        if isinstance(field.type, Tagged):
+            tagged, sub = field.type, block[key]
+            if tagged.default is not _REQUIRED:
+                sub.setdefault(tagged.tag, tagged.default)
+            if sub[tagged.tag] in tagged.schemas:
+                _fill(sub, tagged.schemas[sub[tagged.tag]])
 
 
 def resolve_config(config: dict) -> dict:
@@ -464,25 +307,15 @@ def resolve_config(config: dict) -> dict:
     if errors:
         raise ConfigError(errors)
     resolved = json.loads(json.dumps(config))  # plain-type deep copy
-    model = resolved["model"]
-    for k, v in _MODEL_DEFAULTS.items():
-        model.setdefault(k, v)
-    for k, v in _DISORDER_DEFAULTS.items():
-        model["disorder"].setdefault(k, v)
-    if model["single_site"]["kind"] == "exponential":
-        for k, v in _SINGLE_SITE_DEFAULTS["exponential"].items():
-            model["single_site"].setdefault(k, v)
     exp = resolved["experiment"]
-    for k, v in _EXPERIMENT_DEFAULTS[exp["kind"]].items():
-        exp.setdefault(k, v)
+    _fill(resolved["model"], _MODEL)
+    _fill(exp, _KINDS[exp["kind"]])
+    _fill(resolved["execution"], _EXECUTION)
     if exp["kind"] == "ids-diff" and exp["reference_half_width"] is None:
         exp["reference_half_width"] = 4 * max(exp["half_widths"])
-    execution = resolved["execution"]
-    for k, v in _EXECUTION_DEFAULTS.items():
-        execution.setdefault(k, v)
     # results do not depend on the parallelism degree, so this default
     # never feeds the config hash
-    execution.setdefault("threads", os.cpu_count() or 1)
+    resolved["execution"].setdefault("threads", os.cpu_count() or 1)
     return resolved
 
 
