@@ -15,14 +15,7 @@ import sys
 import numpy as np
 import yaml
 
-from .config import (
-    ConfigError,
-    EXPERIMENT_KINDS,
-    build_model,
-    load_config,
-    resolve_config,
-    validate_config,
-)
+from .config import ConfigError, EXPERIMENT_KINDS, load_config, validate_config
 from .hamiltonian import NumericalFailure
 from .runner import run
 
@@ -94,21 +87,11 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     if args.validate_only:
-        try:
-            build_model(resolve_config(config))
-        except ConfigError as exc:
-            for message in exc.errors:
-                print(f"config error: {message}", file=sys.stderr)
-            return EXIT_VALIDATION
         print(f"[{args.kind}] config OK")
         return EXIT_OK
 
     try:
         envelope = run(config, out_root=args.out)
-    except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+from functools import partial
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -39,38 +41,32 @@ class ConfigError(Exception):
 
 
 _REQUIRED = object()  # default of a key that must be given
+_BAD = object()  # stands for a value of the wrong type
 _OPTIONAL = object()  # default of a key that may be left out and stays out
 
 
 class Field(NamedTuple):
-    """One key of a block.
-
-    ``type`` is a key of ``_TYPES``, a tuple of allowed values, or a nested
-    block (``Schema`` or ``Tagged``).  ``default`` is a value, ``_REQUIRED``,
-    ``_OPTIONAL``, or a predicate on the block that makes the key required
-    where it holds.  ``strict`` makes both bounds exclusive; the bound of an
-    "ints" field applies to its items.
-    """
+    """One key of a block: ``type`` is a key of ``_TYPES``, a tuple of
+    allowed values, or a nested ``Schema``/``Tagged``; ``default`` may be a
+    predicate on the block, making the key required where it holds.
+    ``strict`` excludes both bounds; an "ints" bound applies to each item."""
 
     type: Any
-    default: Any = _REQUIRED
     lo: float | None = None
+    default: Any = _REQUIRED
     hi: float | None = None
     strict: bool = False
 
 
 class Schema(NamedTuple):
-    """The table of one block.
-
-    A rule is (names, fn): when every named key of the block holds a value
-    of its type (bounds aside), ``fn(*values)`` returns a list of messages
-    relative to the block, or a false value.  An experiment kind also
-    gives the field that execution.realizations must satisfy.
-    """
+    """The table of one block.  A rule is (names, fn): when every named key
+    holds a value of its type, ``fn(*values)`` returns messages relative to
+    the block, or a false value.  ``realizations`` is the field that
+    execution.realizations must satisfy under an experiment kind."""
 
     fields: dict[str, Field]
     rules: tuple = ()
-    realizations: Field = Field("int", _OPTIONAL, lo=1)
+    realizations: Field = Field("int", 1, _OPTIONAL)
 
 
 class Tagged(NamedTuple):
@@ -87,12 +83,12 @@ def _is_int(v) -> bool:
 
 
 def _is_num(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool))
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
 
 
 _TYPES = {  # type -> (test, message formatted with the value)
     "int": (_is_int, "expected an integer, got {!r}"),
-    "num": (_is_num, "expected a number, got {!r}"),
+    "num": (lambda v: _is_int(v) or isinstance(v, float), "expected a number, got {!r}"),
     "bool": (lambda v: isinstance(v, bool), "expected a boolean"),
     "str": (lambda v: isinstance(v, str) and v != "", "expected a nonempty string"),
     "ints": (lambda v: isinstance(v, list) and v != [], "expected a nonempty list of integers"),
@@ -102,81 +98,92 @@ _TYPES = {  # type -> (test, message formatted with the value)
 }
 
 
-def _defaults(schema: Schema) -> dict:
-    return {key: f.default for key, f in schema.fields.items()
-            if f.default is not _REQUIRED and f.default is not _OPTIONAL
-            and not callable(f.default)}
-
-
-def _check(value, field: Field, path: str, errors: list[str]) -> bool:
-    """Append the problems of one value to ``errors``; True when its type is right."""
+def _check(value, field: Field, path: str, errors: list[str], grid: dict):
+    """Append the problems of ``value`` to ``errors``.  Returns the value
+    (a nested block with its defaults) when its type is right, else _BAD."""
     kind = field.type
-    if value is None and (field.default is None or field.default is _REQUIRED
-                          or kind in ("int", "num", "ints")):
-        return False
+    if value is None and field.default is None:
+        return value
     if isinstance(kind, (Schema, Tagged)):
-        _check_block(value, kind, path, errors)
-        return False
+        return _check_block(value, kind, path, errors, grid)
     if isinstance(kind, tuple):
-        test, message = kind.__contains__, f"must be {' or '.join(map(str, kind))}, got {{!r}}"
+        ok = value in kind and type(value) in set(map(type, kind))
+        message = f"must be {' or '.join(map(str, kind))}, got {value!r}"
     else:
-        test, message = _TYPES[kind]
-    if not test(value):
-        errors.append(f"{path}: " + message.format(value))
-        return False
+        test, template = _TYPES[kind]
+        ok, message = test(value), template.format(value)
+    if not ok:
+        errors.append(f"{path}: {message}")
+        return _BAD
     if kind == "ints":
         for i, item in enumerate(value):
-            _check(item, Field("int", lo=field.lo), f"{path}[{i}]", errors)
+            _check(item, Field("int", field.lo), f"{path}[{i}]", errors, grid)
     elif kind in ("int", "num"):
         lo, hi = field.lo, field.hi
+        if not _is_num(value):
+            errors.append(f"{path}: must be finite, got {value}")
+            return _BAD
         if lo is not None and (value <= lo if field.strict else value < lo):
             errors.append(f"{path}: must be {'>' if field.strict else '>='} {lo}, got {value}")
         if hi is not None and (value >= hi if field.strict else value > hi):
             errors.append(f"{path}: must be {'<' if field.strict else '<='} {hi}, got {value}")
-    return True
+    return value
 
 
-def _check_block(block, schema, path: str, errors: list[str]) -> None:
+def _check_block(block, schema, path: str, errors: list[str], grid: dict):
+    """Check one block against its table; returns it with its defaults.
+    ``grid`` holds the model's dimension and points_per_cell when both are
+    valid, and rules may name them."""
     if not isinstance(block, dict):
         errors.append(f"{path}: expected a mapping")
-        return
-    tag_key = None
+        return _BAD
+    typed = {}
     if isinstance(schema, Tagged):
-        tag_key, tag = schema.tag, block.get(schema.tag, schema.default)
+        tag = typed[schema.tag] = block.get(schema.tag, schema.default)
         if tag is _REQUIRED:
-            errors.append(f"{path}.{tag_key}: required key is missing")
-            return
-        if tag is None and schema.default is _REQUIRED:
-            return
+            errors.append(f"{path}.{schema.tag}: required key is missing")
+            return _BAD
         if not isinstance(tag, str) or tag not in schema.schemas:
-            errors.append(f"{path}.{tag_key}: " + schema.unknown.format(tag))
-            return
+            errors.append(f"{path}.{schema.tag}: " + schema.unknown.format(tag))
+            return _BAD
         schema = schema.schemas[tag]
     errors.extend(f"{path}.{key}: unknown key" for key in block
-                  if key not in schema.fields and key != tag_key)
-    merged = {**_defaults(schema), **block}
-    typed = _defaults(schema)
+                  if key not in schema.fields and key not in typed)
+    typed.update((key, f.default) for key, f in schema.fields.items()
+                 if f.default is not _REQUIRED and f.default is not _OPTIONAL
+                 and not callable(f.default))
+    merged = {**typed, **block}
     for key, field in schema.fields.items():
         if key in block:
-            if _check(block[key], field, f"{path}.{key}", errors):
-                typed[key] = block[key]
+            typed[key] = _check(block[key], field, f"{path}.{key}", errors, grid)
         elif field.default is _REQUIRED or callable(field.default) and field.default(merged):
             errors.append(f"{path}.{key}: required key is missing")
+    known = {**grid, **{key: v for key, v in typed.items() if v is not _BAD}}
     for names, rule in schema.rules:
-        if all(name in typed for name in names):
-            errors.extend(f"{path}.{m}" for m in rule(*map(typed.get, names)) or ())
+        if all(name in known for name in names):
+            errors.extend(f"{path}.{m}" for m in rule(*map(known.get, names)) or ())
+    return typed
 
 
-def _int(lo, default=_REQUIRED) -> Field:
-    return Field("int", default, lo)
+def _shaped(values, shape) -> bool:
+    """True when ``values`` nests lists of finite numbers to ``shape``."""
+    if not shape:
+        return _is_num(values)
+    return (isinstance(values, list) and len(values) == shape[0]
+            and all(_shaped(v, shape[1:]) for v in values))
 
 
-def _num(lo=None, hi=None, default=_REQUIRED, strict=False) -> Field:
-    return Field("num", default, lo, hi, strict)
+def _in_zone(theta0, dimension, side) -> list[str]:
+    """theta0 is a point of the reduced zone of a box of ``side`` cells."""
+    if len(theta0) != dimension:
+        return [f"theta0: expected {dimension} components, got {len(theta0)}"]
+    return [f"theta0[{i}]: must lie in [-pi/{side}, pi/{side}], got {t}"
+            for i, t in enumerate(theta0) if abs(t) > math.pi / side]
 
 
-def _pos(default=_REQUIRED) -> Field:
-    return _num(0.0, default=default, strict=True)
+_int = partial(Field, "int")  # _int(lo, default)
+_num = partial(Field, "num")  # _num(lo, default, hi, strict)
+_pos = partial(Field, "num", 0.0, strict=True)  # a number > 0; _pos(default)
 
 
 _BUMP = {"strength": _pos(), "diameter": _pos()}
@@ -186,17 +193,22 @@ _MODEL = Schema({
     "v0": Field(Tagged("kind", {
         "zero": Schema({}),
         "cosine": Schema({"amplitude": _num(0.0)}),
-        "values": Schema({"cell_values": Field("any")}),
+        "values": Schema({"cell_values": Field("any")}, ((
+            ("cell_values", "dimension", "points_per_cell"),
+            lambda values, d, p: not _shaped(values, (p,) * d) and [
+                f"cell_values: expected numbers of shape {(p,) * d}, got {values!r}"]),)),
     }, "unknown kind {!r}")),
     "single_site": Field(Tagged("kind", {
         "box": Schema(_BUMP),
-        "exponential": Schema({**_BUMP, "decay_rate": _pos(), "tail_floor": _pos(1e-10)}),
+        "exponential": Schema({**_BUMP, "decay_rate": _pos(), "tail_floor": _pos(1e-10)}, ((
+            ("tail_floor", "strength"), lambda floor, strength: floor >= strength and [
+                f"tail_floor: must be below strength {strength}, got {floor}"]),)),
     }, "unknown kind {!r}")),
     "disorder": Field(Tagged("law", {
         "uniform": Schema({"omega_max": _num(0.0)}),
         "beta": Schema({"omega_max": _num(0.0), "a": _num(1.0), "b": _num(1.0)}),
     }, "must be uniform or beta, got {!r}", default="uniform")),
-    "align_edge": Field("bool", False),
+    "align_edge": Field("bool", default=False),
 })
 
 _SAMPLED = _int(1)  # execution.realizations of a kind that draws disorder
@@ -207,17 +219,20 @@ _WINDOW = (("energy_min", "energy_max"),
 _KINDS = {
     "bandstructure": Schema({
         "half_width": _int(0, 0), "resolution": _int(3, 65), "num_bands": _int(1, 1),
-        "realization": _int(0, None), "check_regularity": Field("bool", False),
-    }),
+        "realization": _int(0, None), "check_regularity": Field("bool", default=False),
+    }, ((("num_bands", "half_width", "dimension", "points_per_cell"),
+         lambda n, hw, d, p: n > (p * (2 * hw + 1)) ** d >= 1 and [
+             f"num_bands: must be <= {(p * (2 * hw + 1)) ** d}, the size of the box, "
+             f"got {n}"]),)),
     "ids": Schema({
-        "method": Field(("brillouin", "dirichlet"), "brillouin"),
+        "method": Field(("brillouin", "dirichlet"), default="brillouin"),
         "half_width": _int(1, lambda p: p["method"] == "brillouin"),
         "cells": _int(2, lambda p: p["method"] != "brillouin"),
         "theta_resolution": _int(1, 8), **_ENERGIES, "energy_points": _int(2, 201),
     }, (_WINDOW,), _SAMPLED),
     "lifshitz": Schema({
         "cells": _int(10), "edge": _num(default=0.0), "mass_low": _pos(1e-4),
-        "mass_high": _num(0.0, 0.5, 1e-1, strict=True), **_ENERGIES,
+        "mass_high": _num(0.0, 1e-1, hi=0.5, strict=True), **_ENERGIES,
         "energy_points": _int(10, 400), "eigen_cutoff": _num(default=None),
     }, (_WINDOW, (("energy_min", "edge"), lambda lo, edge: lo <= edge and [
         f"energy_min: must lie above the edge {edge}"])), _SAMPLED),
@@ -228,8 +243,8 @@ _KINDS = {
     "hs-check": Schema({
         "matrix_dim": _int(2, 20), "matrices": _int(1, 25), "order": _int(1, 4),
         "x_points": _int(8, 128), "y_panels": _int(1, 18), "y_subnodes": _int(1, 6),
-        "eps_y": _num(0.0, default=0.0), "scheme": Field(("midpoint", "gauss"), "gauss"),
-        "refine": Field("bool", True), **_PLATEAU,
+        "eps_y": _num(0.0, 0.0), "scheme": Field(("midpoint", "gauss"), default="gauss"),
+        "refine": Field("bool", default=True), **_PLATEAU,
     }, ((("eps_y", "order"), lambda eps_y, order: eps_y == 0.0 and order < 2 and [
         "order: must be >= 2 when eps_y = 0"]),)),
     "ct-decay": Schema({
@@ -237,80 +252,79 @@ _KINDS = {
         "max_distance": _int(1), "realization": _int(0, None),
     }),
     "gap-prob": Schema({
-        "sides": Field("ints", lo=3), "alpha": _num(0.0, 1.0, strict=True),
-        "theta0": Field("nums", None),
+        "sides": Field("ints", lo=3), "alpha": _num(0.0, hi=1.0, strict=True),
+        "theta0": Field("nums", default=None),
     }, ((("sides",), lambda sides: [
         f"sides[{i}]: must be odd (2l+1 cells), got {side}"
-        for i, side in enumerate(sides) if _is_int(side) and side % 2 == 0]),), _SAMPLED),
+        for i, side in enumerate(sides) if _is_int(side) and side % 2 == 0]),
+        (("theta0", "sides", "dimension"), lambda theta0, sides, d: theta0 is not None
+         and all(map(_is_int, sides)) and _in_zone(theta0, d, max(sides)))), _SAMPLED),
     "theta-bounds": Schema({
-        "half_width": _int(1), "energy": _num(0.0, 1.0, strict=True),
-        "theta_resolution": _int(1, 8), "theta0": Field("nums", None),
-        "xi": _num(0.0, default=lambda p: p["theta0"] is not None),
-    }, (), _SAMPLED),
+        "half_width": _int(1), "energy": _num(0.0, hi=1.0, strict=True),
+        "theta_resolution": _int(1, 8), "theta0": Field("nums", default=None),
+        "xi": _num(0.0, lambda p: p["theta0"] is not None),
+    }, ((("theta0", "half_width", "dimension"), lambda theta0, hw, d: theta0 is not None
+         and hw >= 1 and _in_zone(theta0, d, 2 * hw + 1)),), _SAMPLED),
     "msa-schedule": Schema({
         "l0": _int(6), "m0": _pos(), "q0": _num(), "zeta": Field("any"),
-        "steps": _int(1, 10), "c1": _num(0.0, default=0.0), "c2": _num(0.0, default=0.0),
+        "steps": _int(1, 10), "c1": _num(0.0, 0.0), "c2": _num(0.0, 0.0),
         "c3": _pos(1.0), "xi": _pos(2.0),
     }, ((("l0",), lambda l0: l0 % 3 != 0 and [f"l0: must be a multiple of 3, got {l0}"]),
         (("zeta",), lambda zeta: not (_is_num(zeta) and 1.0 < zeta < 2.0) and [
             f"zeta: must lie in ]1,2[, got {zeta!r}"]))),
     "m-regularity": Schema({
         "side": _int(6), "delta": _pos(2.0), "mass": _pos(), "energy": _num(),
-        "eps_probes": Field("nums", [1e-1, 1e-2, 1e-3, 1e-4]),
+        "eps_probes": Field("nums", default=[1e-1, 1e-2, 1e-3, 1e-4]),
     }, ((("side", "delta"), lambda side, delta: side < 12 * delta and [
-        f"side: must be >= 12 * delta = {12 * delta}"]),), _SAMPLED),
+        f"side: must be >= 12 * delta = {12 * delta}"]),
+        (("eps_probes",), lambda probes: not probes and ["eps_probes: must not be empty"])),
+        _SAMPLED),
 }
 _EXPERIMENT = Tagged("kind", _KINDS, "unknown kind {!r}; expected one of "
                      + ", ".join(sorted(_KINDS)))
 _EXECUTION = Schema({
     "master_seed": _int(0), "realizations": _int(1, _OPTIONAL),
-    "threads": _int(1, _OPTIONAL), "output_dir": Field("str", "runs"),
+    "threads": _int(1, _OPTIONAL), "output_dir": Field("str", default="runs"),
 })
 
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
-def validate_config(config: Any) -> list[str]:
-    """Full range/consistency check; returns every problem found."""
+def _validate(config: Any) -> tuple[list[str], dict]:
+    """Every problem found, and the config with every default filled in."""
     if not isinstance(config, dict):
-        return ["config root: expected a mapping with model/experiment/execution"]
+        return ["config root: expected a mapping with model/experiment/execution"], {}
     blocks = ("model", "experiment", "execution")
     errors = [f"config.{key}: unknown key" for key in config if key not in blocks]
     errors += [f"config.{key}: required block is missing" for key in blocks
                if key not in config]
     exp = config.get("experiment")
-    kind = _KINDS.get(exp.get("kind")) if isinstance(exp, dict) else None
+    kind = exp.get("kind") if isinstance(exp, dict) else None
+    kind = _KINDS.get(kind) if isinstance(kind, str) else None
     execution = (Schema(_EXECUTION.fields | {"realizations": kind.realizations})
                  if kind else _EXECUTION)
-    for key, schema in zip(blocks, (_MODEL, _EXPERIMENT, execution)):
-        if key in config:
-            _check_block(config[key], schema, key, errors)
-    return errors
+    model = config["model"] if isinstance(config.get("model"), dict) else {}
+    d, p = model.get("dimension"), model.get("points_per_cell")
+    grid = ({"dimension": d, "points_per_cell": p}  # for rules that need the mesh
+            if _is_int(d) and d in (1, 2) and _is_int(p) and p >= 1 else {})
+    resolved = {key: _check_block(config[key], schema, key, errors, grid)
+                for key, schema in zip(blocks, (_MODEL, _EXPERIMENT, execution))
+                if key in config}
+    return errors, resolved
 
 
-def _fill(block: dict, schema: Schema) -> None:
-    """Write the defaults of ``schema`` into ``block`` and its nested blocks."""
-    for key, value in _defaults(schema).items():
-        block.setdefault(key, value)
-    for key, field in schema.fields.items():
-        if isinstance(field.type, Tagged):
-            tagged, sub = field.type, block[key]
-            if tagged.default is not _REQUIRED:
-                sub.setdefault(tagged.tag, tagged.default)
-            if sub[tagged.tag] in tagged.schemas:
-                _fill(sub, tagged.schemas[sub[tagged.tag]])
+def validate_config(config: Any) -> list[str]:
+    """Full range/consistency check; returns every problem found."""
+    return _validate(config)[0]
 
 
 def resolve_config(config: dict) -> dict:
     """Validated deep copy with every default made explicit."""
-    errors = validate_config(config)
+    errors, resolved = _validate(config)
     if errors:
         raise ConfigError(errors)
-    resolved = json.loads(json.dumps(config))  # plain-type deep copy
+    resolved = json.loads(json.dumps(resolved))  # plain-type deep copy
     exp = resolved["experiment"]
-    _fill(resolved["model"], _MODEL)
-    _fill(exp, _KINDS[exp["kind"]])
-    _fill(resolved["execution"], _EXECUTION)
     if exp["kind"] == "ids-diff" and exp["reference_half_width"] is None:
         exp["reference_half_width"] = 4 * max(exp["half_widths"])
     # results do not depend on the parallelism degree, so this default
@@ -361,10 +375,6 @@ def build_model(resolved: dict) -> AndersonModel:
         v0 = PeriodicPotential.decomposable(p, [profile] * d)
     else:
         values = np.asarray(v0_spec["cell_values"], dtype=float)
-        if values.shape != (p,) * d:
-            raise ConfigError(
-                [f"model.v0.cell_values: expected shape {(p,) * d}, got {values.shape}"]
-            )
         v0 = PeriodicPotential(dimension=d, points_per_cell=p, cell_values=values)
 
     u_spec = m["single_site"]

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 
 import numpy as np
@@ -18,6 +19,7 @@ from randschrod.config import (
     validate_config,
 )
 from randschrod.hamiltonian import _cell_offsets
+from randschrod.model import AndersonModel
 from randschrod.runner import environment
 
 
@@ -213,6 +215,45 @@ class TestValidation:
         assert "execution.master_seed" in errors[0]
         assert "expected an integer" in errors[0]
 
+    @pytest.mark.parametrize("config,field", [
+        (_theta_bounds_config(), "energy"),
+        (_lifshitz_config(), "energy_max"),
+        (_free_chain_config({"kind": "ct-decay", "cells": 5, "z_real": 0.0,
+                             "max_distance": 2}), "z_real"),
+        (_msa_config(), "m0"),
+    ], ids=["theta-bounds", "lifshitz", "ct-decay", "msa-schedule"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_are_refused(self, config, field, value):
+        config["experiment"][field] = value
+        errors = validate_config(config)
+        assert errors == [f"experiment.{field}: must be finite, got {value}"]
+
+    @pytest.mark.parametrize("values", [["a", "b"], [[0.1, 0.2], [0.3]], [0.1],
+                                        [0.1, math.nan]])
+    def test_cell_values_must_be_numbers_of_the_cell_shape(self, values):
+        config = _ids_config()
+        config["model"]["v0"] = {"kind": "values", "cell_values": values}
+        errors = validate_config(config)
+        assert len(errors) == 1
+        assert errors[0].startswith("model.v0.cell_values: expected numbers of shape (2,)")
+
+    def test_exponential_tail_floor_must_stay_below_strength(self):
+        config = _ids_config()
+        config["model"]["single_site"] = {"kind": "exponential", "strength": 1.0,
+                                          "diameter": 1.0, "decay_rate": 2.0,
+                                          "tail_floor": 10}
+        assert validate_config(config) == [
+            "model.single_site.tail_floor: must be below strength 1.0, got 10"]
+        config["model"]["single_site"]["tail_floor"] = 0.5
+        build_model(resolve_config(config))
+
+    def test_null_is_refused_unless_it_is_the_default(self):
+        config = _ids_config()
+        config["model"]["points_per_cell"] = None
+        config["experiment"] = {"kind": "bandstructure", "realization": None}
+        assert validate_config(config) == [
+            "model.points_per_cell: expected an integer, got None"]
+
     def test_multiple_problems_all_collected(self):
         config = _ids_config()
         config["model"]["dimension"] = 3
@@ -404,6 +445,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "declares" in err
         assert "'ids'" in err
+
+    @pytest.mark.parametrize("experiment,message", [
+        ({"kind": "bandstructure", "half_width": 0, "num_bands": 3},
+         "experiment.num_bands: must be <= 2"),
+        ({"kind": "gap-prob", "sides": [5, 9], "alpha": 0.5, "theta0": [0.5]},
+         "experiment.theta0[0]: must lie in [-pi/9, pi/9], got 0.5"),
+        ({"kind": "gap-prob", "sides": [5], "alpha": 0.5, "theta0": [0.1, 0.1]},
+         "experiment.theta0: expected 1 components, got 2"),
+        ({"kind": "theta-bounds", "half_width": 2, "energy": 0.25, "theta0": [0.7],
+          "xi": 2.0}, "experiment.theta0[0]: must lie in [-pi/5, pi/5], got 0.7"),
+        ({"kind": "m-regularity", "side": 25, "energy": -1.0, "mass": 0.2,
+          "eps_probes": []}, "experiment.eps_probes: must not be empty"),
+    ], ids=["num_bands", "gap-prob-theta0", "gap-prob-theta0-components",
+            "theta-bounds-theta0", "eps_probes"])
+    def test_validate_only_refuses_what_the_run_would_refuse(self, tmp_path, capsys,
+                                                             experiment, message):
+        config = _ids_config()
+        config["experiment"] = experiment
+        path = _write(tmp_path, config)
+        assert main([experiment["kind"], "--config", path, "--validate-only"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_validate_only_builds_no_model(self, tmp_path, monkeypatch, capsys):
+        def scan(*args):
+            raise AssertionError("the band-minimum scan ran")
+
+        monkeypatch.setattr(AndersonModel, "band_minimum", scan)
+        config = _ids_config()
+        config["model"]["align_edge"] = True
+        path = _write(tmp_path, config)
+        assert main(["ids", "--config", path, "--validate-only"]) == 0
 
     def test_validate_only_catches_build_failures(self, tmp_path, capsys):
         config = _ids_config()

@@ -5,7 +5,8 @@ every leaf set to a string, True, None, 0, -1, a large value and a
 one-element list, an unknown key added to every block, and every tag
 (``kind``, ``law``, ``method``) switched to each other value.  The test
 pins, for each mutant, the sorted ``validate_config`` messages and, when
-it validates, the sha256 of its resolved config.
+it validates, the sha256 of its resolved config.  Validation never
+raises, and every mutant that validates resolves and builds its model.
 
 Regenerate the recorded file only when a validation rule changes on
 purpose, and list every moved entry in CHANGES.md:
@@ -23,6 +24,7 @@ from unittest import mock
 
 from randschrod.config import (
     EXPERIMENT_KINDS,
+    build_model,
     load_config,
     resolve_config,
     validate_config,
@@ -102,18 +104,14 @@ def _mutants(base):
 
 
 def _outcome(config):
-    """(sorted messages, resolved digest); a step that raises records its
-    exception type instead, so the corpus also pins validator crashes."""
-    try:
-        errors = sorted(validate_config(config))
-    except Exception as exc:
-        return f"raises {type(exc).__name__}", None
+    """(sorted messages, resolved digest); a config that validates must
+    also resolve and build its model."""
+    errors = sorted(validate_config(config))
     if errors:
         return errors, None
-    try:
-        text = json.dumps(resolve_config(config), sort_keys=True)
-    except Exception as exc:
-        return errors, f"raises {type(exc).__name__}"
+    resolved = resolve_config(config)
+    build_model(resolved)
+    text = json.dumps(resolved, sort_keys=True)
     return errors, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
