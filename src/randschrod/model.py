@@ -32,6 +32,8 @@ from .hamiltonian import (
 
 __all__ = ["AndersonModel", "align_band_edge"]
 
+_SCAN_CHUNK = 4096  # zone nodes per zone_spectra call in band_minimum
+
 
 @dataclass(frozen=True)
 class AndersonModel:
@@ -170,12 +172,21 @@ class AndersonModel:
     # -- band edge --------------------------------------------------------
 
     def band_minimum(self, resolution: int = 401) -> float:
-        """Minimum of the lowest band of H0 over an inclusive full-zone grid."""
+        """Minimum of the lowest band of H0 over an inclusive full-zone grid.
+
+        The nodes go to ``zone_spectra`` in chunks of ``_SCAN_CHUNK``, so
+        memory stays bounded however fine the grid; the minimum is exact,
+        so it does not depend on the chunking.
+        """
         if resolution % 2 == 0:
             resolution += 1  # keep theta = 0 on the grid
         axis = np.linspace(-math.pi, math.pi, resolution)
-        nodes = list(itertools.product(axis, repeat=self.dimension))
-        return float(np.min(self.quiet().zone_spectra(0, nodes)[:, 0]))
+        nodes = itertools.product(axis, repeat=self.dimension)
+        quiet = self.quiet()
+        lowest = math.inf
+        while chunk := list(itertools.islice(nodes, _SCAN_CHUNK)):
+            lowest = min(lowest, float(np.min(quiet.zone_spectra(0, chunk)[:, 0])))
+        return lowest
 
 
 def align_band_edge(model: AndersonModel, resolution: int = 401) -> AndersonModel:

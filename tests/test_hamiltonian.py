@@ -352,6 +352,14 @@ class TestModelConveniences:
         model = AndersonModel.free(omega_max=0.0)
         assert model.band_minimum(resolution=101) == pytest.approx(0.0, abs=1e-12)
 
+    def test_band_minimum_in_chunks_equals_the_minimum_over_all_nodes(self):
+        # 81^2 nodes span two chunks of the scan
+        v0 = PeriodicPotential(2, 2, np.array([[0.3, 1.1], [0.7, 0.2]]))
+        model = AndersonModel(2, 2, v0, SingleSitePotential.box(), DisorderModel(0.0))
+        axis = np.linspace(-math.pi, math.pi, 81)
+        nodes = list(itertools.product(axis, repeat=2))
+        assert model.band_minimum(81) == np.min(model.zone_spectra(0, nodes)[:, 0])
+
 
 class TestGrid:
     def test_cube_places_points_at_cell_centers(self):
