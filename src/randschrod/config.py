@@ -221,7 +221,7 @@ _KINDS = {
         "half_width": _int(0, 0), "resolution": _int(3, 65), "num_bands": _int(1, 1),
         "realization": _int(0, None), "check_regularity": Field("bool", default=False),
     }, ((("num_bands", "half_width", "dimension", "points_per_cell"),
-         lambda n, hw, d, p: n > (p * (2 * hw + 1)) ** d >= 1 and [
+         lambda n, hw, d, p: hw >= 0 and n > (p * (2 * hw + 1)) ** d and [
              f"num_bands: must be <= {(p * (2 * hw + 1)) ** d}, the size of the box, "
              f"got {n}"]),)),
     "ids": Schema({
