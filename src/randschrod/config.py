@@ -1,8 +1,12 @@
 """Experiment configuration: strict YAML schema, validation, hashing.
 
-Unknown keys are errors everywhere; physics parameters have no silent
-defaults.  Validation is exhaustive: every problem in the file is
-reported with its dotted field path before anything is computed.
+Every block has one schema table: ``model`` and ``execution`` one each,
+``experiment``, ``model.v0`` and ``model.single_site`` one per ``kind``,
+``model.disorder`` one per ``law``.  One engine walks any table, and
+``resolve_config`` takes its defaults from the same tables.  Unknown keys
+are errors everywhere; physics parameters have no silent defaults.
+Validation is exhaustive: every problem in the file is reported with its
+dotted field path before anything is computed.
 """
 
 from __future__ import annotations
