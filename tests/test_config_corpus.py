@@ -50,11 +50,11 @@ def _name(path):
     return text or "config"
 
 
-def _set(config, path, value):
-    target = config
+def _holder(config, path):
+    """The block or list that holds the item at ``path``."""
     for part in path[:-1]:
-        target = target[part]
-    target[path[-1]] = value
+        config = config[part]
+    return config
 
 
 def _mutants(base):
@@ -78,28 +78,23 @@ def _mutants(base):
     for path in blocks[1:] + leaves:
         if isinstance(path[-1], str):
             config = copy.deepcopy(base)
-            target = config
-            for part in path[:-1]:
-                target = target[part]
-            del target[path[-1]]
+            del _holder(config, path)[path[-1]]
             yield f"delete {_name(path)}", config
     for path in leaves:
-        original = base
-        for part in path:
-            original = original[part]
+        original = _holder(base, path)[path[-1]]
         for value in _LEAF_VALUES + ([original],):
             config = copy.deepcopy(base)
-            _set(config, path, copy.deepcopy(value))
+            _holder(config, path)[path[-1]] = copy.deepcopy(value)
             yield f"set {_name(path)}={value!r}", config
     for path in blocks:
         config = copy.deepcopy(base)
-        _set(config, path + ("unknown_key",), 1)
+        _holder(config, path + ("unknown_key",))["unknown_key"] = 1
         yield f"unknown key in {_name(path)}", config
     for path, values, current in tags:
         for value in values:
             if value != current:
                 config = copy.deepcopy(base)
-                _set(config, path, value)
+                _holder(config, path)[path[-1]] = value
                 yield f"switch {_name(path)}={value}", config
 
 
