@@ -30,7 +30,6 @@ from .hamiltonian import (
     assemble_anderson,
     assemble_h0,
     assemble_periodic_approx,
-    box_sites,
     validate_single_site,
 )
 from .hscalc import (
@@ -110,7 +109,6 @@ __all__ = [
     "assemble_periodic_approx",
     "average_ids",
     "band_edge_mass",
-    "box_sites",
     "brillouin_zone",
     "build_model",
     "check_regularity",

@@ -102,14 +102,14 @@ _TYPES = {  # type -> (test, message formatted with the value)
 }
 
 
-def _check(value, field: Field, path: str, errors: list[str], grid: dict):
+def _check(value, field: Field, path: str, errors: list[str], context: dict):
     """Append the problems of ``value`` to ``errors``.  Returns the value
     (a nested block with its defaults) when its type is right, else _BAD."""
     kind = field.type
     if value is None and field.default is None:
         return value
     if isinstance(kind, (Schema, Tagged)):
-        return _check_block(value, kind, path, errors, grid)
+        return _check_block(value, kind, path, errors, context)
     if isinstance(kind, tuple):
         ok = value in kind and type(value) in set(map(type, kind))
         message = f"must be {' or '.join(map(str, kind))}, got {value!r}"
@@ -121,7 +121,7 @@ def _check(value, field: Field, path: str, errors: list[str], grid: dict):
         return _BAD
     if kind == "ints":
         for i, item in enumerate(value):
-            _check(item, Field("int", field.lo), f"{path}[{i}]", errors, grid)
+            _check(item, Field("int", field.lo), f"{path}[{i}]", errors, context)
     elif kind in ("int", "num"):
         lo, hi = field.lo, field.hi
         if not _is_num(value):
@@ -134,10 +134,11 @@ def _check(value, field: Field, path: str, errors: list[str], grid: dict):
     return value
 
 
-def _check_block(block, schema, path: str, errors: list[str], grid: dict):
+def _check_block(block, schema, path: str, errors: list[str], context: dict):
     """Check one block against its table; returns it with its defaults.
-    ``grid`` holds the model's dimension and points_per_cell when both are
-    valid, and rules may name them."""
+    ``context`` holds the model's dimension and points_per_cell when both
+    are valid, and its v0_kind and align_edge when both are valid; rules
+    may name them."""
     if not isinstance(block, dict):
         errors.append(f"{path}: expected a mapping")
         return _BAD
@@ -159,10 +160,10 @@ def _check_block(block, schema, path: str, errors: list[str], grid: dict):
     merged = {**typed, **block}
     for key, field in schema.fields.items():
         if key in block:
-            typed[key] = _check(block[key], field, f"{path}.{key}", errors, grid)
+            typed[key] = _check(block[key], field, f"{path}.{key}", errors, context)
         elif field.default is _REQUIRED or callable(field.default) and field.default(merged):
             errors.append(f"{path}.{key}: required key is missing")
-    known = {**grid, **{key: v for key, v in typed.items() if v is not _BAD}}
+    known = {**context, **{key: v for key, v in typed.items() if v is not _BAD}}
     for names, rule in schema.rules:
         if all(name in known for name in names):
             errors.extend(f"{path}.{m}" for m in rule(*map(known.get, names)) or ())
@@ -185,6 +186,7 @@ def _in_zone(theta0, dimension, side) -> list[str]:
             for i, t in enumerate(theta0) if abs(t) > math.pi / side]
 
 
+_LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 _int = partial(Field, "int")  # _int(lo, default)
 _num = partial(Field, "num")  # _num(lo, default, hi, strict)
 _pos = partial(Field, "num", 0.0, strict=True)  # a number > 0; _pos(default)
@@ -206,7 +208,11 @@ _MODEL = Schema({
         "box": Schema(_BUMP),
         "exponential": Schema({**_BUMP, "decay_rate": _pos(), "tail_floor": _pos(1e-10)}, ((
             ("tail_floor", "strength"), lambda floor, strength: floor >= strength and [
-                f"tail_floor: must be below strength {strength}, got {floor}"]),)),
+                f"tail_floor: must be below strength {strength}, got {floor}"]), (
+            ("strength", "diameter", "decay_rate"), lambda strength, diameter, rate:
+                strength > 0 and rate * diameter / 2 + max(0.0, math.log(strength)) >= _LOG_MAX
+                and [f"decay_rate: must keep strength * exp(decay_rate * diameter / 2) below "
+                     f"the largest float, got {rate}"]),)),
     }, "unknown kind {!r}")),
     "disorder": Field(Tagged("law", {
         "uniform": Schema({"omega_max": _num(0.0)}),
@@ -262,7 +268,10 @@ _KINDS = {
         f"sides[{i}]: must be odd (2l+1 cells), got {side}"
         for i, side in enumerate(sides) if _is_int(side) and side % 2 == 0]),
         (("theta0", "sides", "dimension"), lambda theta0, sides, d: theta0 is not None
-         and all(map(_is_int, sides)) and _in_zone(theta0, d, max(sides)))), _SAMPLED),
+         and all(map(_is_int, sides)) and _in_zone(theta0, d, max(sides))),
+        (("v0_kind", "align_edge"), lambda kind, align: kind != "zero" and not align and [
+            f"kind: gap-prob needs model.align_edge: true to put the lowest band at 0, "
+            f"as model.v0.kind is {kind}"])), _SAMPLED),
     "theta-bounds": Schema({
         "half_width": _int(1), "energy": _num(0.0, hi=1.0, strict=True),
         "theta_resolution": _int(1, 8), "theta0": Field("nums", default=None),
@@ -309,9 +318,15 @@ def _validate(config: Any) -> tuple[list[str], dict]:
                  if kind else _EXECUTION)
     model = config["model"] if isinstance(config.get("model"), dict) else {}
     d, p = model.get("dimension"), model.get("points_per_cell")
-    grid = ({"dimension": d, "points_per_cell": p}  # for rules that need the mesh
-            if _is_int(d) and d in (1, 2) and _is_int(p) and p >= 1 else {})
-    resolved = {key: _check_block(config[key], schema, key, errors, grid)
+    v0 = model["v0"] if isinstance(model.get("v0"), dict) else {}
+    v0_kind, align = v0.get("kind"), model.get("align_edge", False)
+    context = {}  # model values that rules of any block may name
+    if _is_int(d) and d in (1, 2) and _is_int(p) and p >= 1:
+        context.update(dimension=d, points_per_cell=p)
+    if isinstance(v0_kind, str) and v0_kind in _MODEL.fields["v0"].type.schemas \
+            and isinstance(align, bool):
+        context.update(v0_kind=v0_kind, align_edge=align)
+    resolved = {key: _check_block(config[key], schema, key, errors, context)
                 for key, schema in zip(blocks, (_MODEL, _EXPERIMENT, execution))
                 if key in config}
     return errors, resolved

@@ -8,8 +8,8 @@ which makes parallel sampling bitwise identical to serial sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import betaincinv
@@ -92,78 +92,78 @@ class DisorderModel:
 
 @dataclass(frozen=True)
 class DisorderSample:
-    """One realization of couplings: a map from lattice site to omega_k.
+    """One realization of couplings over a box of lattice sites.
 
-    Sites are integer tuples (length = dimension) covering the simulation
-    box plus the single-site truncation margin.
+    ``values`` holds omega_k for the sites k = ``origin`` + i at every
+    index i of the array, one axis per lattice dimension.
     """
 
-    couplings: dict[tuple[int, ...], float]
-    omega_max: float
-    realization: int = 0
+    values: np.ndarray
+    origin: tuple[int, ...]
 
     def __getitem__(self, site: tuple[int, ...]) -> float:
-        return self.couplings[site]
-
-    def __contains__(self, site: tuple[int, ...]) -> bool:
-        return site in self.couplings
+        return self.at([[k] for k in site]).item()
 
     def __len__(self) -> int:
-        return len(self.couplings)
+        return self.values.size
 
-    def sites(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.couplings)
+    def at(self, axes: Sequence[Sequence[int]]) -> np.ndarray:
+        """Couplings at the sites of the product of ``axes``, one sequence
+        of site coordinates per axis, as an array of that shape.
 
-    def coupling_at(self, site: tuple[int, ...]) -> float:
-        """Coupling at ``site``; raises with the site named when absent."""
-        try:
-            return self.couplings[site]
-        except KeyError:
-            raise KeyError(f"no coupling sampled for contributing site {site}") from None
+        A site outside the sample raises KeyError naming the first such
+        site in C order; a number of axes other than the sample's
+        dimension raises ValueError.
+        """
+        if len(axes) != self.values.ndim:
+            raise ValueError(
+                f"sample has dimension {self.values.ndim}, sites have {len(axes)}"
+            )
+        index = [np.asarray(a, dtype=np.int64) - o for a, o in zip(axes, self.origin)]
+        inside = [(i >= 0) & (i < n) for i, n in zip(index, self.values.shape)]
+        if not all(map(np.all, inside)):
+            covered = np.all(np.meshgrid(*inside, indexing="ij"), axis=0)
+            first = np.unravel_index(np.argmin(covered), covered.shape)
+            site = tuple(int(a[j]) for a, j in zip(axes, first))
+            raise KeyError(f"no coupling sampled for contributing site {site}")
+        return self.values[np.ix_(*index)]
 
     def translated(self, vector: tuple[int, ...], fold_cells: int | None = None) -> "DisorderSample":
         """Sample shifted by a lattice vector, optionally folded mod fold_cells.
 
         Used by translation-invariance checks: the shifted sample is the
-        original field viewed from a displaced origin.
+        original field viewed from a displaced origin.  Folding needs a
+        sample of the fundamental cell {-l..l}^d with fold_cells = 2l+1.
         """
-        out: dict[tuple[int, ...], float] = {}
-        for site, w in self.couplings.items():
-            moved = tuple(s + v for s, v in zip(site, vector))
-            if fold_cells is not None:
-                half = (fold_cells - 1) // 2
-                moved = tuple((c + half) % fold_cells - half for c in moved)
-            out[moved] = w
-        return DisorderSample(out, self.omega_max, self.realization)
+        if fold_cells is None:
+            return DisorderSample(self.values, tuple(o + v for o, v in zip(self.origin, vector)))
+        d = self.values.ndim
+        if self.values.shape != (fold_cells,) * d or self.origin != (-(fold_cells // 2),) * d:
+            raise ValueError(f"folding needs a sample of the fundamental cell of {fold_cells}")
+        return DisorderSample(np.roll(self.values, vector, axis=tuple(range(d))), self.origin)
 
     @staticmethod
-    def constant(sites: Iterable[tuple[int, ...]], value: float) -> "DisorderSample":
-        sites = list(sites)
-        return DisorderSample({s: float(value) for s in sites}, omega_max=max(value, 0.0))
+    def constant(ranges: Sequence[range], value: float) -> "DisorderSample":
+        """The coupling ``value`` at every site of the box ``ranges``."""
+        return DisorderSample(
+            np.full([len(r) for r in ranges], float(value)), tuple(r.start for r in ranges)
+        )
 
 
 def sample_disorder(
     model: DisorderModel,
-    sites: Iterable[tuple[int, ...]],
+    ranges: Sequence[range],
     realization: int,
 ) -> DisorderSample:
-    """Draw one disorder realization on a finite site set.
+    """Draw one disorder realization on the box of sites ``ranges``, one
+    range of step 1 per axis.
 
     The value at site k is a pure function of
-    (model.master_seed, realization, k): enlarging or reordering the site
-    set never changes previously drawn values, and omega_max = 0 yields
+    (model.master_seed, realization, k): enlarging or moving the box
+    never changes previously drawn values, and omega_max = 0 yields
     identically zero couplings.
     """
-    site_list = [tuple(int(c) for c in s) for s in sites]
-    if not site_list:
-        return DisorderSample({}, model.omega_max, realization)
-    dims = {len(s) for s in site_list}
-    if len(dims) != 1:
-        raise ValueError("sites must all share one dimension")
-    arr = np.asarray(site_list, dtype=np.int64)
-    values = model.draw(arr, realization)
-    return DisorderSample(
-        {s: float(v) for s, v in zip(site_list, values)},
-        model.omega_max,
-        realization,
-    )
+    grids = np.meshgrid(*[np.arange(r.start, r.stop) for r in ranges], indexing="ij")
+    sites = np.stack([g.ravel() for g in grids], axis=-1)
+    values = model.draw(sites, realization).reshape([len(r) for r in ranges])
+    return DisorderSample(values, tuple(r.start for r in ranges))

@@ -34,8 +34,7 @@ __all__ = [
     "assemble_periodic_approx",
     "folded_potential",
     "validate_single_site",
-    "box_sites",
-    "fundamental_sites",
+    "site_ranges",
 ]
 
 # Largest point count the dense/banded solvers are expected to handle at
@@ -590,7 +589,7 @@ def assemble_h0(
     return AssembledHamiltonian(mat, grid, bc, label="h0")
 
 
-def _site_ranges(grid: GridSpec, margin: float) -> list[range]:
+def site_ranges(grid: GridSpec, margin: float) -> list[range]:
     """Per axis, the integer sites whose truncated bump can reach the box."""
     return [
         range(math.ceil(-c / 2.0 - margin), math.floor(c / 2.0 + margin) + 1)
@@ -598,31 +597,19 @@ def _site_ranges(grid: GridSpec, margin: float) -> list[range]:
     ]
 
 
-def box_sites(grid: GridSpec, margin: float) -> list[tuple[int, ...]]:
-    """Integer lattice sites whose truncated bump can reach the box."""
-    return list(itertools.product(*_site_ranges(grid, margin)))
-
-
-def fundamental_sites(grid: GridSpec) -> list[tuple[int, ...]]:
-    """Sites of the fundamental cell {-l..l}^d of a (2l+1)^d cube box."""
-    l = grid.half_width
-    return [tuple(k) for k in itertools.product(range(-l, l + 1), repeat=grid.dimension)]
-
-
-def _site_sum(grid: GridSpec, u: SingleSitePotential, couplings: Sequence[float]) -> np.ndarray:
+def _site_sum(grid: GridSpec, u: SingleSitePotential, omega: np.ndarray) -> np.ndarray:
     """v = sum_k omega_k u(x - k) at every grid point, as a flat array.
 
-    ``couplings`` lists omega_k over ``box_sites(grid, u.radius)`` in
-    that order.  On an axis of L cells and p points per cell, point i
-    sits at the mesh offset (s - c) / p from site k, with s = i - p k and
-    c = (p L - 1) / 2, so u is sampled once at the offsets of its support
-    and v is a sum of strided slices of the coupling array, one per
-    offset.  Offsets run in decreasing order, so every point adds its
-    terms in increasing site order.
+    ``omega`` holds omega_k over the box ``site_ranges(grid, u.radius)``.
+    On an axis of L cells and p points per cell, point i sits at the mesh
+    offset (s - c) / p from site k, with s = i - p k and c = (p L - 1) / 2,
+    so u is sampled once at the offsets of its support and v is a sum of
+    strided slices of the coupling array, one per offset.  Offsets run in
+    decreasing order, so every point adds its terms in increasing site
+    order.
     """
     p = grid.points_per_cell
-    ranges = _site_ranges(grid, u.radius)
-    omega = np.asarray(couplings, dtype=float).reshape([len(r) for r in ranges])
+    ranges = site_ranges(grid, u.radius)
     axes = []  # per axis: (mesh offsets, (point slice, site slice) per offset)
     for n, cells, sites in zip(grid.shape, grid.cells, ranges):
         c = 0.5 * (p * cells - 1)
@@ -675,8 +662,7 @@ def assemble_anderson(
     """
     if h0.bc.wraps:
         raise ValueError("Anderson box assembly needs Dirichlet boundary conditions")
-    sites = box_sites(h0.grid, u.radius)
-    v = _site_sum(h0.grid, u, [sample.coupling_at(k) for k in sites])
+    v = _site_sum(h0.grid, u, sample.at(site_ranges(h0.grid, u.radius)))
     return h0.with_potential(v, label="anderson")
 
 
@@ -692,9 +678,8 @@ def folded_potential(
     """
     l = grid.half_width
     period = 2 * l + 1
-    sites = box_sites(grid, u.radius)
-    folded = [tuple((k + l) % period - l for k in site) for site in sites]
-    return _site_sum(grid, u, [sample.coupling_at(k) for k in folded])
+    folded = [(np.asarray(r) + l) % period - l for r in site_ranges(grid, u.radius)]
+    return _site_sum(grid, u, sample.at(folded))
 
 
 def assemble_periodic_approx(

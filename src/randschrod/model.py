@@ -25,9 +25,8 @@ from .hamiltonian import (
     assemble_anderson,
     assemble_h0,
     assemble_periodic_approx,
-    box_sites,
     folded_potential,
-    fundamental_sites,
+    site_ranges,
 )
 
 __all__ = ["AndersonModel", "align_band_edge"]
@@ -83,11 +82,13 @@ class AndersonModel:
         return assemble_h0(self.grid(cells), self.v0, bc)
 
     def sample_for_box(self, grid: GridSpec, realization: int) -> DisorderSample:
-        sites = box_sites(grid, self.single_site.radius)
-        return sample_disorder(self.disorder, sites, realization)
+        ranges = site_ranges(grid, self.single_site.radius)
+        return sample_disorder(self.disorder, ranges, realization)
 
     def sample_fundamental(self, grid: GridSpec, realization: int) -> DisorderSample:
-        return sample_disorder(self.disorder, fundamental_sites(grid), realization)
+        """Couplings of the fundamental cell {-l..l}^d of a (2l+1)^d cube box."""
+        l = grid.half_width
+        return sample_disorder(self.disorder, [range(-l, l + 1)] * grid.dimension, realization)
 
     def anderson_box(
         self, cells: int | Sequence[int], bc: BoundaryCondition, realization: int

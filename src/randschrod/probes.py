@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054
+_EDGE_TOLERANCE = 1e-6  # |band minimum| accepted as an edge at 0 by gap_probability
 
 
 def wilson_interval(hits: int, total: int, z: float = _Z95) -> tuple[float, float]:
@@ -190,9 +191,7 @@ def gap_probability(
     alpha: float,
     realizations: int,
     theta0: tuple[float, ...] | None = None,
-    base_realization: int = 0,
     check_edge: bool = True,
-    edge_tolerance: float = 1e-6,
     map_fn: Callable | None = None,
 ) -> GapProbabilityEstimate:
     """P{an eigenvalue of the wrapped side-l box falls in [0, l^-alpha)}.
@@ -209,7 +208,7 @@ def gap_probability(
         raise ValueError(f"side must be odd and >= 3, got {side}")
     if check_edge:
         edge = model.band_minimum()
-        if abs(edge) > edge_tolerance:
+        if abs(edge) > _EDGE_TOLERANCE:
             raise ValueError(
                 f"lowest band sits at {edge:.3e}, not 0; shift the model first"
             )
@@ -220,7 +219,7 @@ def gap_probability(
 
     window = float(side) ** (-alpha)
     hit = partial(_gap_hit, model, (side - 1) // 2, theta0, window)
-    hits = sum((map_fn or map)(hit, range(base_realization, base_realization + realizations)))
+    hits = sum((map_fn or map)(hit, range(realizations)))
     return GapProbabilityEstimate(
         side=side,
         alpha=alpha,
@@ -265,7 +264,6 @@ def theta_average_check(
     energy: float,
     realizations: int,
     theta_resolution: int = 8,
-    base_realization: int = 0,
     map_fn: Callable | None = None,
 ) -> ThetaAverageReport:
     """Zone-averaged hit probability against the expected counting mass.
@@ -285,9 +283,7 @@ def theta_average_check(
     cells = 2 * l + 1
 
     sample = partial(_theta_average_sample, model, l, energy, nodes)
-    sums = np.asarray(list((map_fn or map)(
-        sample, range(base_realization, base_realization + realizations)
-    )))
+    sums = np.asarray(list((map_fn or map)(sample, range(realizations))))
     t_nodes = len(nodes)
     lhs, lhs_se = mean_stderr(zone.volume * sums[:, 0] / t_nodes)
     rhs, rhs_se = mean_stderr((2 * math.pi) ** d * sums[:, 1] / (cells**d * t_nodes))
@@ -347,7 +343,6 @@ def fixed_theta_check(
     realizations: int,
     xi: float,
     theta_resolution: int = 8,
-    base_realization: int = 0,
     map_fn: Callable | None = None,
 ) -> FixedThetaReport:
     """Single-theta hit probability against the Lipschitz-enlarged mass.
@@ -379,9 +374,7 @@ def fixed_theta_check(
     nodes = zone.midpoint_nodes(theta_resolution)
 
     sample = partial(_fixed_theta_sample, model, l, energy, theta0, enlarged, nodes)
-    rows = list((map_fn or map)(
-        sample, range(base_realization, base_realization + realizations)
-    ))
+    rows = list((map_fn or map)(sample, range(realizations)))
     hits = sum(hit for hit, _ in rows)
     prob = hits / realizations
     prob_se = math.sqrt(prob * (1 - prob) / realizations)

@@ -467,6 +467,33 @@ class TestCli:
         assert main([experiment["kind"], "--config", path, "--validate-only"]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment,model,fix,message", [
+        ({"kind": "ct-decay", "cells": 5, "z_real": -1.0, "max_distance": 2},
+         {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
+                          "decay_rate": 800}},
+         {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
+                          "decay_rate": 709.7}},
+         "model.single_site.decay_rate: must keep strength * exp(decay_rate * "
+         "diameter / 2) below the largest float, got 800"),
+        ({"kind": "gap-prob", "sides": [5], "alpha": 0.5},
+         {"v0": {"kind": "cosine", "amplitude": 1.0}},
+         {"align_edge": True},
+         "experiment.kind: gap-prob needs model.align_edge: true to put the lowest "
+         "band at 0, as model.v0.kind is cosine"),
+    ], ids=["exponential-peak-overflow", "gap-prob-unaligned-edge"])
+    def test_validate_only_refuses_a_model_the_run_cannot_use(
+        self, tmp_path, capsys, experiment, model, fix, message
+    ):
+        config = _ids_config()
+        config["model"].update(model)
+        config["experiment"] = experiment
+        path = _write(tmp_path, config)
+        assert main([experiment["kind"], "--config", path, "--validate-only"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        config["model"].update(fix)
+        path = _write(tmp_path, config)
+        assert main([experiment["kind"], "--config", path, "--out", str(tmp_path)]) == 0
+
     def test_validate_only_builds_no_model(self, tmp_path, monkeypatch, capsys):
         def scan(*args):
             raise AssertionError("the band-minimum scan ran")

@@ -128,7 +128,7 @@ class TestRandomPotential:
         )
         l = 4
         grid = GridSpec.cube(1, 1, l)
-        sample = DisorderSample.constant([(k,) for k in range(-l, l + 1)], 0.6)
+        sample = DisorderSample.constant([range(-l, l + 1)], 0.6)
         h0 = assemble_h0(grid, model.v0, BoundaryCondition.periodic())
         h = assemble_periodic_approx(h0, u, sample)
         v = np.real(np.diag((h.matrix - h0.matrix).toarray()))
@@ -139,9 +139,18 @@ class TestRandomPotential:
     def test_missing_coupling_names_the_site(self):
         grid = GridSpec.cube(1, 1, 2)
         h0 = assemble_h0(grid, PeriodicPotential.zero(1, 1), BoundaryCondition.dirichlet())
-        sample = DisorderSample({(0,): 1.0}, omega_max=1.0)
+        sample = DisorderSample(np.array([1.0]), (0,))
         with pytest.raises(KeyError, match=r"-3"):
             assemble_anderson(h0, SingleSitePotential.box(), sample)
+        # the first missing site in C order: the box needs {-2..2}^2
+        grid = GridSpec.cube(2, 1, 1)
+        h0 = assemble_h0(grid, PeriodicPotential.zero(2, 1), BoundaryCondition.dirichlet())
+        sample = DisorderSample.constant([range(-2, 3), range(-2, 2)], 1.0)
+        with pytest.raises(KeyError, match=r"\(-2, 2\)"):
+            assemble_anderson(h0, SingleSitePotential.box(), sample)
+        line = DisorderSample.constant([range(-9, 9)], 1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            assemble_anderson(h0, SingleSitePotential.box(), line)
 
     def test_each_boundary_kind_has_one_assembly_path(self):
         # only the periodic approximation folds couplings onto the torus,
@@ -150,7 +159,7 @@ class TestRandomPotential:
         grid = GridSpec.cube(1, 1, 2)
         v0 = PeriodicPotential.zero(1, 1)
         u = SingleSitePotential.box()
-        sample = DisorderSample.constant([(k,) for k in range(-3, 4)], 1.0)
+        sample = DisorderSample.constant([range(-3, 4)], 1.0)
         for bc in (BoundaryCondition.periodic(), BoundaryCondition.with_phases([0.3])):
             with pytest.raises(ValueError, match="Dirichlet"):
                 assemble_anderson(assemble_h0(grid, v0, bc), u, sample)
@@ -166,7 +175,7 @@ class TestRandomPotential:
             profile=_BoxProfile(0.5, -1.0), delta1=1.0, core_diameter=1.0,
             delta2=1.0, delta3=1.0, radius=0.5,
         )
-        sample = DisorderSample.constant([(k,) for k in range(-2, 3)], 1.0)
+        sample = DisorderSample.constant([range(-2, 3)], 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             assemble_anderson(h0, bad, sample)
 
@@ -213,14 +222,14 @@ class TestSiteSum:
         sites = list(itertools.product(range(-reach, reach + 1), repeat=dimension))
         if periodic:
             l = grid.half_width
-            sample = sample_disorder(law, itertools.product(range(-l, l + 1), repeat=dimension), 0)
+            sample = sample_disorder(law, [range(-l, l + 1)] * dimension, 0)
             h0 = assemble_h0(grid, v0, BoundaryCondition.with_phases([0.4] * dimension))
             h = assemble_periodic_approx(h0, u, sample)
             expected = _dense_site_sum(
                 grid, u, sites, lambda k: sample[tuple((c + l) % cells - l for c in k)]
             )
         else:
-            sample = sample_disorder(law, sites, 0)
+            sample = sample_disorder(law, [range(-reach, reach + 1)] * dimension, 0)
             h0 = assemble_h0(grid, v0, BoundaryCondition.dirichlet())
             h = assemble_anderson(h0, u, sample)
             expected = _dense_site_sum(grid, u, sites, lambda k: sample[k])
