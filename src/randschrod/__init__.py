@@ -15,7 +15,6 @@ from .bands import (
     brillouin_zone,
     check_regularity,
     compute_bands,
-    estimate_lipschitz,
     find_band_edges,
 )
 from .config import ConfigError, build_model, config_hash, load_config, resolve_config
@@ -52,13 +51,11 @@ from .ids import (
     IdsCurve,
     LifshitzFit,
     average_ids,
-    band_edge_mass,
     ids_difference_experiment,
     ids_dirichlet_box,
     ids_periodic_approx,
     lifshitz_fit,
     mass_window,
-    smoothed_functional,
 )
 from .model import AndersonModel, align_band_edge
 from .probes import (
@@ -108,7 +105,6 @@ __all__ = [
     "assemble_h0",
     "assemble_periodic_approx",
     "average_ids",
-    "band_edge_mass",
     "brillouin_zone",
     "build_model",
     "check_regularity",
@@ -116,7 +112,6 @@ __all__ = [
     "compute_bands",
     "config_hash",
     "dbar_bound_check",
-    "estimate_lipschitz",
     "extend",
     "find_band_edges",
     "fixed_theta_check",
@@ -139,7 +134,6 @@ __all__ = [
     "run",
     "sample_disorder",
     "shifted_weight",
-    "smoothed_functional",
     "smoothstep",
     "theta_average_check",
     "validate_single_site",

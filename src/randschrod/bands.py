@@ -24,7 +24,6 @@ __all__ = [
     "compute_bands",
     "find_band_edges",
     "check_regularity",
-    "estimate_lipschitz",
     "write_band_csv",
 ]
 
@@ -285,30 +284,6 @@ def check_regularity(
         regular=regular,
         fd_step=fd_step,
     )
-
-
-def estimate_lipschitz(bands: BandStructure, window: tuple[float, float]) -> float:
-    """Max |Delta E_n| / |Delta theta| over grid edges inside an energy window.
-
-    Both endpoints of a grid edge must lie in the window for it to count.
-    Returns 0 when no band values fall inside the window.
-    """
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"empty energy window [{lo}, {hi}]")
-    best = 0.0
-    for axis in range(bands.dimension):
-        e = bands.energies
-        a = np.moveaxis(e, axis, 0)
-        fwd = a[1:]
-        bwd = a[:-1]
-        steps = np.diff(bands.axes[axis])
-        ok = (fwd >= lo) & (fwd <= hi) & (bwd >= lo) & (bwd <= hi)
-        if not np.any(ok):
-            continue
-        slope = np.abs(fwd - bwd) / steps.reshape((-1,) + (1,) * (fwd.ndim - 1))
-        best = max(best, float(np.max(slope[ok])))
-    return best
 
 
 def write_band_csv(bands: BandStructure, path: str, metadata: dict | None = None) -> None:

@@ -6,7 +6,8 @@ Every block has one schema table: ``model`` and ``execution`` one each,
 ``resolve_config`` takes its defaults from the same tables.  Unknown keys
 are errors everywhere; physics parameters have no silent defaults.
 Validation is exhaustive: every problem in the file is reported with its
-dotted field path before anything is computed.
+dotted field path before anything is computed.  Once the experiment block
+is valid, every box its run builds must fit the solver budget.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import yaml
 
 from .disorder import DisorderModel
-from .hamiltonian import PeriodicPotential, SingleSitePotential
+from .hamiltonian import SOLVER_BUDGET_POINTS, GridSpec, PeriodicPotential, SingleSitePotential
 from .model import AndersonModel, align_band_edge
 
 __all__ = [
@@ -186,6 +187,36 @@ def _in_zone(theta0, dimension, side) -> list[str]:
             for i, t in enumerate(theta0) if abs(t) > math.pi / side]
 
 
+def _reach(strength, diameter, rate, floor, dimension, points_per_cell) -> list[str]:
+    """The exponential bump's truncation radius, as assembly computes it, is
+    finite and at most the side of the largest box the solver budget admits,
+    so a run draws at most 3^d times that box of sites."""
+    try:
+        radius = SingleSitePotential.exponential(strength, diameter, rate, floor).radius
+    except (ValueError, OverflowError):
+        return []  # a value that another rule refuses
+    side = SOLVER_BUDGET_POINTS ** (1 / dimension) / points_per_cell
+    return not radius <= side and [
+        f"tail_floor: must keep the bump's truncation radius finite and at most {side:.6g} "
+        f"cells, the side of the largest box the solver budget admits, got {radius}"]
+
+
+def _boxes(exp: dict) -> dict[str, int]:
+    """Cells per axis of each box that a run of the valid experiment block
+    ``exp`` builds, by the key that sets its size; a half-width l sets
+    2l+1 cells, and ids-diff derives its reference as resolve_config does."""
+    kind = exp["kind"]
+    if kind == "ids-diff":
+        top = max(exp["half_widths"])
+        return {"half_widths": 2 * top + 1,
+                "reference_half_width": 2 * (exp["reference_half_width"] or 4 * top) + 1}
+    if kind in ("bandstructure", "theta-bounds") or exp.get("method") == "brillouin":
+        return {"half_width": 2 * exp["half_width"] + 1}
+    key = {"ids": "cells", "lifshitz": "cells", "ct-decay": "cells", "gap-prob": "sides",
+           "m-regularity": "side"}.get(kind)
+    return {key: max(exp[key]) if key == "sides" else exp[key]} if key else {}
+
+
 _LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 _int = partial(Field, "int")  # _int(lo, default)
 _num = partial(Field, "num")  # _num(lo, default, hi, strict)
@@ -212,7 +243,9 @@ _MODEL = Schema({
             ("strength", "diameter", "decay_rate"), lambda strength, diameter, rate:
                 strength > 0 and rate * diameter / 2 + max(0.0, math.log(strength)) >= _LOG_MAX
                 and [f"decay_rate: must keep strength * exp(decay_rate * diameter / 2) below "
-                     f"the largest float, got {rate}"]),)),
+                     f"the largest float, got {rate}"]),
+            (("strength", "diameter", "decay_rate", "tail_floor", "dimension",
+              "points_per_cell"), _reach))),
     }, "unknown kind {!r}")),
     "disorder": Field(Tagged("law", {
         "uniform": Schema({"omega_max": _num(0.0)}),
@@ -329,6 +362,12 @@ def _validate(config: Any) -> tuple[list[str], dict]:
     resolved = {key: _check_block(config[key], schema, key, errors, context)
                 for key, schema in zip(blocks, (_MODEL, _EXPERIMENT, execution))
                 if key in config}
+    if kind and "dimension" in context and not any(e.startswith("experiment.") for e in errors):
+        for key, cells in _boxes(resolved["experiment"]).items():
+            try:  # GridSpec refuses a box over the solver budget
+                GridSpec.from_cells(context["dimension"], context["points_per_cell"], cells)
+            except ValueError as exc:
+                errors.append(f"experiment.{key}: a box of {cells} cells per axis: {exc}")
     return errors, resolved
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "assemble_h0",
     "assemble_anderson",
     "assemble_periodic_approx",
+    "count_strictly_below",
     "folded_potential",
     "validate_single_site",
     "site_ranges",
@@ -102,7 +103,7 @@ class GridSpec:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod([c * self.points_per_cell for c in self.cells]))
+        return math.prod(self.shape)
 
     @property
     def mesh(self) -> tuple[float, ...]:
@@ -402,10 +403,6 @@ class AssembledHamiltonian:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.getH()
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
     def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(diag, offdiag) when the matrix is a real tridiagonal chain."""
         if self.grid.dimension != 1 or self.bc.wraps:
@@ -424,13 +421,13 @@ class AssembledHamiltonian:
         within ``pivmin`` of zero is replaced by +pivmin, so an
         eigenvalue at E is not below E; this is exact whenever the
         pivots are computed exactly, as on the free chain.  Every other
-        operator is counted from its computed eigenvalues, where a tie
-        within rounding is not decided.
+        operator is counted from its computed eigenvalues by
+        ``count_strictly_below``.
         """
         energies = np.asarray(energies, dtype=float)
         tri = self._tridiagonal()
         if tri is None:
-            return np.searchsorted(self.eigenvalues(), energies, side="left")
+            return count_strictly_below(self.eigenvalues(), energies)
         return _sturm_count(*tri, energies)
 
     def eigenvalues(self, upper: float | None = None) -> np.ndarray:
@@ -496,6 +493,21 @@ class AssembledHamiltonian:
         """This operator plus the multiplication by ``v`` (one value per grid point)."""
         mat = (self.matrix + scipy.sparse.diags(v.astype(self.matrix.dtype))).tocsr()
         return self.with_matrix(mat, label)
+
+
+def count_strictly_below(spectra: np.ndarray, energies: Sequence[float]) -> np.ndarray:
+    """#{eig < E} in each computed spectrum at every energy E, as integers.
+
+    ``spectra`` holds one sorted spectrum, or one per row as
+    ``AndersonModel.zone_spectra`` returns them; the counts have the shape
+    ``spectra.shape[:-1] + energies.shape``.  An eigenvalue equal to E is
+    not below E; a tie within rounding is not decided.
+    """
+    spectra = np.asarray(spectra, dtype=float)
+    energies = np.asarray(energies, dtype=float)
+    rows = spectra.reshape(-1, spectra.shape[-1])
+    counts = [np.searchsorted(w, energies, side="left") for w in rows]
+    return np.reshape(counts, spectra.shape[:-1] + energies.shape)
 
 
 def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Integrated density of states: box counting, zone integration, tail fits.
 
-Curves are step functions carried by their exact jump representation
-(eigenvalue positions and per-eigenvalue weights), so Stieltjes
-functionals against them are sums, not quadratures.  The counting
-convention is strictly-below everywhere: an eigenvalue equal to a grid
-energy is not counted at that energy.
+A curve is the eigenvalue count of a box at each energy of its grid,
+per unit volume, and knows N nowhere else.  The counting convention is
+strictly-below everywhere: an eigenvalue equal to a grid energy is not
+counted at that energy.  The ids-diff functionals sum g over computed
+spectra, not over curves.
 """
 
 from __future__ import annotations
@@ -18,25 +18,27 @@ import numpy as np
 
 from .bands import brillouin_zone
 from .disorder import DisorderSample
-from .hamiltonian import AssembledHamiltonian, BoundaryCondition, NumericalFailure
+from .hamiltonian import (
+    AssembledHamiltonian,
+    BoundaryCondition,
+    NumericalFailure,
+    count_strictly_below,
+)
 from .model import AndersonModel
 
 __all__ = [
     "IdsCurve",
     "DisorderAverage",
     "LifshitzFit",
-    "BandEdgeMass",
     "DecayRow",
     "DecayTable",
     "ids_dirichlet_box",
     "ids_periodic_approx",
     "average_ids",
     "mean_stderr",
-    "smoothed_functional",
     "ids_difference_experiment",
     "lifshitz_fit",
     "mass_window",
-    "band_edge_mass",
     "write_decay_csv",
     "write_ids_csv",
 ]
@@ -44,23 +46,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IdsCurve:
-    """Finite-volume IDS sampled on an energy grid.
-
-    values[i] = (normalized count of eigenvalues strictly below
-    energies[i]).  jump_positions/jump_weights hold the underlying step
-    data; ``complete`` is False when only eigenvalues below a cutoff were
-    computed (counts remain exact below that cutoff).  A curve without
-    jump data knows N only at its grid energies: value_at elsewhere,
-    total_mass and smoothed_functional raise for it.
-    """
+    """Finite-volume IDS on an energy grid: values[i] is the normalized
+    count of eigenvalues strictly below energies[i] in a box of ``volume``
+    unit cells."""
 
     energies: np.ndarray
     values: np.ndarray
     volume: float
-    points_per_cell: int
-    jump_positions: np.ndarray | None = None
-    jump_weights: np.ndarray | None = None
-    complete: bool = True
 
     def __post_init__(self) -> None:
         e = np.asarray(self.energies, dtype=float)
@@ -70,51 +62,6 @@ class IdsCurve:
             raise ValueError("energies must be sorted ascending")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    @staticmethod
-    def from_jumps(
-        positions: np.ndarray,
-        weights: np.ndarray | float,
-        energies: np.ndarray,
-        volume: float,
-        points_per_cell: int,
-        complete: bool = True,
-    ) -> "IdsCurve":
-        positions = np.asarray(positions, dtype=float)
-        if np.isscalar(weights):
-            weights = np.full(len(positions), float(weights))
-        order = np.argsort(positions, kind="stable")
-        positions = positions[order]
-        weights = np.asarray(weights, dtype=float)[order]
-        cumulative = np.concatenate([[0.0], np.cumsum(weights)])
-        idx = np.searchsorted(positions, np.asarray(energies, dtype=float), side="left")
-        values = cumulative[idx]
-        return IdsCurve(
-            energies=np.asarray(energies, dtype=float),
-            values=values,
-            volume=volume,
-            points_per_cell=points_per_cell,
-            jump_positions=positions,
-            jump_weights=weights,
-            complete=complete,
-        )
-
-    def value_at(self, energy: float) -> float:
-        if self.jump_positions is not None:
-            i = np.searchsorted(self.jump_positions, energy, side="left")
-            return float(np.sum(self.jump_weights[:i]))
-        i = int(np.searchsorted(self.energies, energy, side="left"))
-        if i == len(self.energies) or self.energies[i] != energy:
-            raise ValueError(f"energy {energy} is off the grid of a curve without jump data")
-        return float(self.values[i])
-
-    @property
-    def total_mass(self) -> float:
-        if not self.complete:
-            raise ValueError("curve was truncated above; total mass unavailable")
-        if self.jump_weights is None:
-            raise ValueError("curve carries no jump data; total mass unavailable")
-        return float(np.sum(self.jump_weights))
 
 
 @dataclass(frozen=True)
@@ -126,9 +73,6 @@ class DisorderAverage:
     stderr: np.ndarray
     realizations: int
 
-    def mean_at(self, energy: float) -> float:
-        return float(np.interp(energy, self.energies, self.mean))
-
 
 def ids_dirichlet_box(
     h: AssembledHamiltonian, energies: Sequence[float], upper: float | None = None
@@ -138,24 +82,17 @@ def ids_dirichlet_box(
     The counts come from ``h.count_below``: on real tridiagonal chains
     they are by inertia, and an eigenvalue at E is not below E; on other
     boxes they come from computed eigenvalues, where a tie within
-    rounding is not decided.  The curve carries no jump data, so it
-    knows N only on its energy grid.
+    rounding is not decided.
 
-    Set ``upper`` to declare a cutoff; the curve is then marked
-    incomplete and every requested energy must stay at or below it.
+    Set ``upper`` to declare a cutoff; every requested energy must then
+    stay at or below it.
     """
     if h.bc.kind != "dirichlet":
         raise ValueError(f"Dirichlet box counting got {h.bc.kind} boundary conditions")
     energies = np.asarray(energies, dtype=float)
     if upper is not None and np.max(energies) > upper:
         raise ValueError("energy grid exceeds the eigenvalue cutoff")
-    return IdsCurve(
-        energies=energies,
-        values=h.count_below(energies) / h.grid.volume,
-        volume=h.grid.volume,
-        points_per_cell=h.grid.points_per_cell,
-        complete=upper is None,
-    )
+    return IdsCurve(energies, h.count_below(energies) / h.grid.volume, h.grid.volume)
 
 
 def ids_periodic_approx(
@@ -169,8 +106,9 @@ def ids_periodic_approx(
 
     The zone integral uses the midpoint rule with theta_resolution^d
     nodes; every eigenvalue at every node carries the weight
-    ((2l+1) * theta_resolution)^{-d}.  With one node at theta = 0 this
-    reduces to per-volume counting of the Periodic box matrix.
+    ((2l+1) * theta_resolution)^{-d}, and N(E) adds the weights of the
+    eigenvalues strictly below E one at a time.  With one node at
+    theta = 0 this reduces to per-volume counting of the Periodic box.
     """
     if theta_resolution < 1:
         raise ValueError(f"theta_resolution must be >= 1, got {theta_resolution}")
@@ -178,13 +116,10 @@ def ids_periodic_approx(
     length = 2 * half_width + 1
     weight = 1.0 / (length * theta_resolution) ** d
     nodes = brillouin_zone(half_width, d).midpoint_nodes(theta_resolution)
-    return IdsCurve.from_jumps(
-        model.zone_spectra(half_width, nodes, sample=sample).ravel(),
-        weight,
-        np.asarray(energies, dtype=float),
-        volume=float(length**d),
-        points_per_cell=model.points_per_cell,
-    )
+    spectra = model.zone_spectra(half_width, nodes, sample=sample)
+    counts = count_strictly_below(spectra, energies).sum(axis=0)
+    running = np.concatenate([[0.0], np.cumsum(np.full(spectra.size, weight))])
+    return IdsCurve(energies, running[counts], float(length**d))
 
 
 def mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -212,32 +147,6 @@ def average_ids(curves: Sequence[IdsCurve]) -> DisorderAverage:
             raise ValueError("curves were sampled on different energy grids")
     mean, stderr = mean_stderr(np.stack([c.values for c in curves]))
     return DisorderAverage(grid.copy(), mean, stderr, len(curves))
-
-
-def smoothed_functional(g, curve: IdsCurve) -> float:
-    """Stieltjes integral of g against the IDS curve, exact for step data.
-
-    The sum runs over the curve's jump data; a curve without it raises.
-    ``g`` is any callable (typically a compactly supported smooth
-    function); when it exposes a ``support`` attribute the span check is
-    enforced against the curve's energy grid.
-    """
-    support = getattr(g, "support", None)
-    if support is not None:
-        lo, hi = support
-        if lo < curve.energies[0] - 1e-12 or hi > curve.energies[-1] + 1e-12:
-            raise ValueError(
-                f"support [{lo}, {hi}] escapes the curve's energy span "
-                f"[{curve.energies[0]}, {curve.energies[-1]}]"
-            )
-        if not curve.complete and hi > np.max(curve.energies):
-            raise ValueError("curve truncated below the support of g")
-    if curve.jump_positions is None:
-        raise ValueError("curve carries no jump data; the Stieltjes sum needs it")
-    if len(curve.jump_positions) == 0:
-        return 0.0
-    vals = np.asarray(g(curve.jump_positions), dtype=float)
-    return float(np.dot(vals, curve.jump_weights))
 
 
 @dataclass(frozen=True)
@@ -357,14 +266,22 @@ class LifshitzFit:
         return abs(self.exponent - self.target) <= (self.target_tolerance or 0.0)
 
 
+def _edge_count(avg: DisorderAverage, edge: float) -> float:
+    """N(edge), which the average must hold as its first energy."""
+    if avg.energies[0] != edge:
+        raise ValueError(f"the average starts at {avg.energies[0]}, not at the edge {edge}")
+    return float(avg.mean[0])
+
+
 def mass_window(
     avg: DisorderAverage,
     edge: float,
     mass_low: float = 1e-4,
     mass_high: float = 1e-1,
 ) -> tuple[float, float]:
-    """Energy window where the IDS mass above the edge lies in [lo, hi]."""
-    base = avg.mean_at(edge)
+    """Energy window where the IDS mass N(E) - N(edge) lies in [lo, hi];
+    the average starts at the edge."""
+    base = _edge_count(avg, edge)
     mass = avg.mean - base
     ok = (mass >= mass_low) & (mass <= mass_high) & (avg.energies > edge)
     if not np.any(ok):
@@ -385,12 +302,13 @@ def lifshitz_fit(
 
     Lifshitz behaviour N(E) - N(edge) ~ exp(-c (E-edge)^{-d/2}) makes
     log|log(.)| affine in log(E-edge) with slope -d/2; the slope is the
-    fitted exponent.  Points with mass <= 0 or >= 1/2 are refused.
+    fitted exponent.  The average starts at the edge, where it holds
+    N(edge).  Points with mass <= 0 or >= 1/2 are refused.
     """
     lo, hi = window
     if not lo < hi:
         raise NumericalFailure("empty fit window")
-    base = avg.mean_at(edge)
+    base = _edge_count(avg, edge)
     sel = (avg.energies >= lo) & (avg.energies <= hi) & (avg.energies > edge)
     energies = avg.energies[sel]
     mass = avg.mean[sel] - base
@@ -421,76 +339,6 @@ def lifshitz_fit(
         target=target,
         target_tolerance=target_tolerance,
     )
-
-
-@dataclass(frozen=True)
-class BandEdgeMass:
-    """Expected zone-integrated mass in [0, 2 l^{-alpha}) with its bound."""
-
-    half_width: int
-    alpha: float
-    energy: float
-    mean: float
-    stderr: float
-    realizations: int
-    bound: float | None = None
-
-
-def band_edge_mass(
-    model: AndersonModel,
-    half_width: int,
-    alpha: float,
-    realizations: int,
-    theta_resolution: int = 8,
-    smoothness_order: int | None = None,
-    bound_constant: float | None = None,
-    map_fn: Callable | None = None,
-) -> BandEdgeMass:
-    """Estimate E[N_{omega,l}(2 l^{-alpha}) - N_{omega,l}(0)].
-
-    When (smoothness_order, bound_constant) are supplied the comparison
-    value bound_constant * l^{-order*(1-alpha) + 2d + 1} is reported
-    alongside.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in ]0,1[, got {alpha}")
-    if half_width < 2:
-        raise ValueError("half_width must be >= 2")
-    energy = 2.0 * half_width ** (-alpha)
-    sample = partial(_edge_mass, model, half_width, energy, theta_resolution)
-    mean, se = mean_stderr(list((map_fn or map)(sample, range(realizations))))
-    bound = None
-    if smoothness_order is not None and bound_constant is not None:
-        d = model.dimension
-        bound = bound_constant * half_width ** (
-            -smoothness_order * (1.0 - alpha) + 2 * d + 1
-        )
-    return BandEdgeMass(
-        half_width=half_width,
-        alpha=alpha,
-        energy=energy,
-        mean=float(mean),
-        stderr=float(se),
-        realizations=realizations,
-        bound=bound,
-    )
-
-
-def _zone_counts(spectra: np.ndarray, energy: float) -> np.ndarray:
-    """#{eigenvalues in [0, energy)} in each row of a ``zone_spectra`` array.
-
-    Counts are strictly below each end, by the searchsorted rule of
-    ``AssembledHamiltonian.count_below`` on computed spectra.
-    """
-    below = np.array([np.searchsorted(w, [0.0, energy], side="left") for w in spectra])
-    return below[:, 1] - below[:, 0]
-
-
-def _edge_mass(model, half_width, energy, theta_resolution, realization) -> float:
-    nodes = brillouin_zone(half_width, model.dimension).midpoint_nodes(theta_resolution)
-    counts = _zone_counts(model.zone_spectra(half_width, nodes, realization), energy)
-    weight = 1.0 / ((2 * half_width + 1) * theta_resolution) ** model.dimension
-    return weight * int(counts.sum())
 
 
 def write_decay_csv(table: DecayTable, path: str, metadata: dict | None = None) -> None:

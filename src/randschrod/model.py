@@ -105,7 +105,8 @@ class AndersonModel:
         realization: int | None = None,
         sample: DisorderSample | None = None,
     ) -> AssembledHamiltonian:
-        """Periodic approximation H_{omega,l} on Lambda_{2l+1}."""
+        """Periodic approximation H_{omega,l} on Lambda_{2l+1}, assembled sparse:
+        the oracle of ``zone_spectra``, from which runs take its spectra."""
         grid = GridSpec.cube(self.dimension, self.points_per_cell, half_width)
         h0 = assemble_h0(grid, self.v0, bc)
         if (realization is None) == (sample is None):

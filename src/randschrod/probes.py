@@ -18,9 +18,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .bands import brillouin_zone
-from .hamiltonian import AssembledHamiltonian, BoundaryCondition, GridSpec, NumericalFailure
+from .hamiltonian import AssembledHamiltonian, GridSpec, NumericalFailure, count_strictly_below
 from .hscalc import smoothstep
-from .ids import _zone_counts, mean_stderr
+from .ids import mean_stderr
 from .model import AndersonModel
 
 __all__ = [
@@ -176,13 +176,16 @@ class GapProbabilityEstimate:
             raise ValueError("hits outside [0, samples]")
 
 
+def _zone_counts(spectra: np.ndarray, energy: float) -> np.ndarray:
+    """#{eigenvalues in [0, energy)} in each row of a ``zone_spectra`` array."""
+    below = count_strictly_below(spectra, [0.0, energy])
+    return below[:, 1] - below[:, 0]
+
+
 def _gap_hit(model, half_width, theta0, window, realization) -> bool:
-    if theta0 is not None:
-        return bool(_zone_counts(model.zone_spectra(half_width, [theta0], realization),
-                                 window)[0] > 0)
-    h = model.periodic_box(half_width, BoundaryCondition.periodic(), realization=realization)
-    below = h.count_below([0.0, window])
-    return bool(below[1] > below[0])
+    """The Periodic box is the Bloch operator at theta = 0."""
+    theta = (0.0,) * model.dimension if theta0 is None else theta0
+    return bool(_zone_counts(model.zone_spectra(half_width, [theta], realization), window)[0] > 0)
 
 
 def gap_probability(

@@ -251,9 +251,12 @@ def _run_lifshitz(model, exp, execution, sink, mapper):
     )
     energies = edge + offsets
     m = execution["realizations"]
-    worker = partial(_dirichlet_curve, model, exp["cells"], energies, exp["eigen_cutoff"])
+    # the edge is counted too, so the tail mass is measured from N(edge)
+    worker = partial(_dirichlet_curve, model, exp["cells"], np.concatenate([[edge], energies]),
+                     exp["eigen_cutoff"])
     avg = average_ids(mapper(worker, range(m)))
-    write_ids_csv(energies, avg.mean, avg.stderr, sink.path("ids.csv"), metadata=sink.metadata)
+    write_ids_csv(energies, avg.mean[1:], avg.stderr[1:], sink.path("ids.csv"),
+                  metadata=sink.metadata)
     sink.register("ids.csv")
 
     window = mass_window(avg, edge, exp["mass_low"], exp["mass_high"])

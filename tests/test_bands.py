@@ -10,7 +10,6 @@ from randschrod.bands import (
     BandStructure,
     check_regularity,
     compute_bands,
-    estimate_lipschitz,
     find_band_edges,
     write_band_csv,
 )
@@ -113,13 +112,6 @@ class TestEdgeRegularity:
     def test_missing_edge_raises(self, free_bands_1d):
         with pytest.raises(ValueError, match="attains"):
             check_regularity(free_bands_1d, -5.0)
-
-
-class TestLipschitz:
-    def test_free_band_slope_near_the_zone_center(self, free_bands_1d):
-        # |d/dtheta (2 - 2cos)| = 2|sin| <= 2, approached at theta = pi/2
-        est = estimate_lipschitz(free_bands_1d, (0.0, 4.0))
-        assert 1.9 <= est <= 2.0 + 1e-6
 
 
 class TestZoneGeometry:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from randschrod import model as model_module
 from randschrod import runner
 from randschrod.cli import main
 from randschrod.config import (
@@ -472,7 +473,7 @@ class TestCli:
          {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
                           "decay_rate": 800}},
          {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
-                          "decay_rate": 709.7}},
+                          "decay_rate": 709.7, "tail_floor": 0.95}},
          "model.single_site.decay_rate: must keep strength * exp(decay_rate * "
          "diameter / 2) below the largest float, got 800"),
         ({"kind": "gap-prob", "sides": [5], "alpha": 0.5},
@@ -480,7 +481,25 @@ class TestCli:
          {"align_edge": True},
          "experiment.kind: gap-prob needs model.align_edge: true to put the lowest "
          "band at 0, as model.v0.kind is cosine"),
-    ], ids=["exponential-peak-overflow", "gap-prob-unaligned-edge"])
+        ({**_lifshitz_config()["experiment"], "cells": 2001},
+         {"points_per_cell": 10}, {"points_per_cell": 1},
+         "experiment.cells: a box of 2001 cells per axis: 20010 grid points exceed the "
+         "solver budget (20000)"),
+        ({key: v for key, v in _ids_diff_config()["experiment"].items()
+          if key != "reference_half_width"},
+         {"points_per_cell": 1200}, {"points_per_cell": 2},
+         "experiment.reference_half_width: a box of 17 cells per axis: 20400 grid points "
+         "exceed the solver budget (20000)"),
+        ({"kind": "ids", "method": "dirichlet", "cells": 5, "energy_min": 0.0,
+          "energy_max": 4.2, "energy_points": 11},
+         {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
+                          "decay_rate": 700, "tail_floor": 1e-300}},
+         {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
+                          "decay_rate": 7}},
+         "model.single_site.tail_floor: must keep the bump's truncation radius finite and "
+         "at most 10000 cells, the side of the largest box the solver budget admits, got inf"),
+    ], ids=["exponential-peak-overflow", "gap-prob-unaligned-edge", "box-over-budget",
+            "derived-reference-over-budget", "exponential-reach-overflow"])
     def test_validate_only_refuses_a_model_the_run_cannot_use(
         self, tmp_path, capsys, experiment, model, fix, message
     ):
@@ -616,6 +635,25 @@ class TestCli:
         for name, entry in serial["payloads"].items():
             assert set(entry) == {"path", "sha256"}
             assert len(entry["sha256"]) == 64
+
+    @pytest.mark.parametrize("config", [
+        _gap_prob_config(),
+        {**_gap_prob_config(), "experiment": {**_gap_prob_config()["experiment"],
+                                              "theta0": [0.1]}},
+        _theta_bounds_config(),
+        _ids_config(),
+        _ids_diff_config(),
+        {**_ids_config(), "experiment": {"kind": "bandstructure", "half_width": 1,
+                                         "resolution": 9, "num_bands": 2}},
+    ], ids=["gap-prob", "gap-prob-theta0", "theta-bounds", "ids-brillouin", "ids-diff",
+            "bandstructure"])
+    def test_no_run_assembles_a_sparse_wrapped_box(self, tmp_path, monkeypatch, config):
+        # every wrapped box of a run is the Bloch operator of zone_spectra
+        def sparse(*args):
+            raise AssertionError("a run assembled a sparse wrapped box")
+
+        monkeypatch.setattr(model_module, "assemble_periodic_approx", sparse)
+        runner.run(copy.deepcopy(config), out_root=str(tmp_path))
 
     def test_result_envelope_fields(self, tmp_path, capsys):
         body = self._run_and_read(tmp_path, "envelope", threads=1)

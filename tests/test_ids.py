@@ -1,6 +1,8 @@
 """Integrated density of states: exact counting, averaging, tail fits."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +16,19 @@ from randschrod import (
     DisorderAverage,
     IdsCurve,
     average_ids,
-    band_edge_mass,
     ids_difference_experiment,
     ids_dirichlet_box,
     ids_periodic_approx,
     lifshitz_fit,
     mass_window,
-    smoothed_functional,
 )
+from randschrod.config import load_config
+from randschrod.hamiltonian import count_strictly_below
 from randschrod.hscalc import plateau_function
 from randschrod.ids import _functional_dirichlet, _functional_periodic
+from randschrod.runner import run
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _dense_count_oracle(h, energies):
@@ -58,9 +63,6 @@ class TestDirichletCounting:
         full = ids_dirichlet_box(h, energies)
         cut = ids_dirichlet_box(h, energies, upper=2.0)
         assert np.array_equal(_integer_counts(cut), _integer_counts(full))
-        assert not cut.complete
-        with pytest.raises(ValueError, match="total mass"):
-            cut.total_mass
 
     def test_counting_is_strictly_below(self):
         # free chain of 5 sites has eigenvalue 2 - 2cos(3 pi / 6) = 2
@@ -80,19 +82,6 @@ class TestDirichletCounting:
         curve = ids_dirichlet_box(h, [2.0], upper=2.0)
         assert _integer_counts(curve)[0] == (sites - 1) // 2
         assert len(h.eigenvalues(upper=2.0)) == (sites - 1) // 2
-
-    def test_count_curve_answers_only_on_its_grid(self):
-        model = AndersonModel.free(omega_max=0.0)
-        h = model.h0_box(5, BoundaryCondition.dirichlet())
-        curve = ids_dirichlet_box(h, [1.0, 2.0, 3.0])
-        assert curve.complete
-        assert curve.value_at(2.0) == pytest.approx(2.0 / 5.0)
-        with pytest.raises(ValueError, match="off the grid"):
-            curve.value_at(2.5)
-        with pytest.raises(ValueError, match="total mass"):
-            curve.total_mass
-        with pytest.raises(ValueError, match="jump data"):
-            smoothed_functional(lambda e: np.ones_like(e), curve)
 
     def test_free_chain_of_two_hundred_cells_has_half_mass_at_two(self):
         model = AndersonModel.free(omega_max=0.0)
@@ -152,80 +141,57 @@ class TestPeriodicCounting:
 
 
 class TestCurveContainer:
-    def test_from_jumps_hand_example(self):
-        curve = IdsCurve.from_jumps(
-            positions=np.array([1.0, 3.0, 1.0]),
-            weights=0.25,
-            energies=np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
-            volume=4.0,
-            points_per_cell=1,
-        )
-        assert np.array_equal(curve.values, [0.0, 0.0, 0.5, 0.5, 0.75])
-        assert curve.value_at(1.0) == 0.0
-        assert curve.value_at(1.5) == 0.5
-        assert curve.total_mass == 0.75
+    def test_counts_strictly_below_hand_example(self):
+        spectra = np.array([[1.0, 1.0, 3.0], [0.5, 2.0, 4.0]])
+        energies = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        counts = count_strictly_below(spectra, energies)
+        assert np.array_equal(counts, [[0, 0, 2, 2, 3], [0, 1, 1, 2, 2]])
+        assert np.array_equal(count_strictly_below(spectra[1], energies), counts[1])
 
     def test_unsorted_energy_grid_is_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            IdsCurve(energies=np.array([1.0, 0.0]), values=np.zeros(2),
-                     volume=1.0, points_per_cell=1)
+            IdsCurve(energies=np.array([1.0, 0.0]), values=np.zeros(2), volume=1.0)
 
     @given(
-        positions=hnp.arrays(np.float64, st.integers(1, 30),
-                             elements=st.floats(-5, 5)),
-        weight=st.floats(1e-3, 1.0),
+        spectra=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 30)),
+                           elements=st.floats(-5, 5)),
     )
     @settings(max_examples=50, deadline=None)
-    def test_curves_are_monotone_step_functions(self, positions, weight):
+    def test_curves_are_monotone_step_functions(self, spectra):
+        spectra = np.sort(spectra, axis=1)
         energies = np.linspace(-6, 6, 25)
-        curve = IdsCurve.from_jumps(positions, weight, energies, 1.0, 1)
-        assert np.all(np.diff(curve.values) >= 0.0)
-        assert curve.values[0] >= 0.0
-        assert curve.values[-1] <= curve.total_mass + 1e-12
-        # below and above the whole spectrum the curve saturates
-        assert curve.value_at(-7.0) == 0.0
-        assert curve.value_at(7.0) == pytest.approx(curve.total_mass)
+        total = count_strictly_below(spectra, energies).sum(axis=0)
+        assert np.all(np.diff(total) >= 0)
+        # below and above the whole spectrum the count saturates
+        assert total[0] == 0 and total[-1] == spectra.size
+        oracle = [np.sum(spectra < e) for e in energies]
+        assert np.array_equal(total, oracle)
 
 
 class TestStieltjesFunctional:
-    def _curve(self):
-        return IdsCurve.from_jumps(
-            np.array([0.5, 2.5]), np.array([0.125, 0.25]),
-            np.linspace(0, 3, 7), volume=8.0, points_per_cell=1,
-        )
+    """The ids-diff functionals sum g over computed spectra, per unit volume."""
 
     def test_constant_one_integrates_to_total_mass(self):
-        curve = self._curve()
-        assert smoothed_functional(lambda e: np.ones_like(e), curve) == pytest.approx(
-            curve.total_mass
-        )
-
-    def test_two_jump_quadrature_is_exact(self):
-        curve = self._curve()
-        g = lambda e: np.sin(e) + 2.0  # noqa: E731
-        expected = 0.125 * g(0.5) + 0.25 * g(2.5)
-        assert smoothed_functional(g, curve) == pytest.approx(expected, rel=1e-14)
+        # every box carries points_per_cell^d eigenvalues per unit cell
+        model = AndersonModel.free(points_per_cell=2, omega_max=0.5, master_seed=4)
+        one = lambda e: np.ones_like(e)  # noqa: E731
+        assert _functional_periodic(model, one, 3, 4, 0) == pytest.approx(2.0, rel=1e-14)
+        assert _functional_dirichlet(model, one, 7, 0) == pytest.approx(2.0, rel=1e-14)
 
     def test_function_supported_in_a_gap_integrates_to_zero(self):
-        curve = self._curve()
+        # with V >= 0 the spectrum lies in [0, inf), below which g vanishes
+        model = AndersonModel.free(omega_max=1.0, master_seed=4)
         g = plateau_function(0.5, 3)  # support [-0.25, 0.75]
-        shifted = lambda e: g(np.asarray(e) - 1.25)  # noqa: E731
-        shifted.support = (1.0, 2.0)
-        assert smoothed_functional(shifted, curve) == 0.0
-
-    def test_support_escaping_the_grid_is_rejected(self):
-        curve = self._curve()
-        g = lambda e: np.ones_like(e)  # noqa: E731
-        g.support = (-1.0, 2.0)
-        with pytest.raises(ValueError, match="support"):
-            smoothed_functional(g, curve)
+        below = lambda e: g(np.asarray(e) + 1.0)  # noqa: E731
+        assert _functional_periodic(model, below, 3, 4, 0) == 0.0
+        assert _functional_dirichlet(model, below, 7, 0) == 0.0
 
 
 class TestAveraging:
     def test_mean_and_stderr_for_two_curves(self):
         energies = np.linspace(0, 1, 5)
-        a = IdsCurve(energies=energies, values=np.full(5, 0.2), volume=1, points_per_cell=1)
-        b = IdsCurve(energies=energies, values=np.full(5, 0.4), volume=1, points_per_cell=1)
+        a = IdsCurve(energies=energies, values=np.full(5, 0.2), volume=1)
+        b = IdsCurve(energies=energies, values=np.full(5, 0.4), volume=1)
         avg = average_ids([a, b])
         assert np.allclose(avg.mean, 0.3)
         # sample std of {0.2, 0.4} is 0.1*sqrt(2); stderr divides by sqrt(2)
@@ -233,10 +199,8 @@ class TestAveraging:
         assert avg.realizations == 2
 
     def test_mismatched_grids_are_rejected(self):
-        a = IdsCurve(energies=np.linspace(0, 1, 5), values=np.zeros(5),
-                     volume=1, points_per_cell=1)
-        b = IdsCurve(energies=np.linspace(0, 2, 5), values=np.zeros(5),
-                     volume=1, points_per_cell=1)
+        a = IdsCurve(energies=np.linspace(0, 1, 5), values=np.zeros(5), volume=1)
+        b = IdsCurve(energies=np.linspace(0, 2, 5), values=np.zeros(5), volume=1)
         with pytest.raises(ValueError, match="grid"):
             average_ids([a, b])
 
@@ -315,7 +279,7 @@ class TestMassWindow:
 
 class TestLifshitzFit:
     def _average_from(self, f, energies):
-        # anchor the curve at the edge so mean_at(0) reads exactly 0
+        # the average starts at the edge, where N(0) = 0
         grid = np.concatenate([[0.0], energies])
         mean = np.concatenate([[0.0], f(energies)])
         return DisorderAverage(grid, mean, np.zeros_like(mean), 2)
@@ -363,27 +327,24 @@ class TestLifshitzFit:
         with pytest.raises(ValueError, match="window"):
             lifshitz_fit(avg, edge=0.0, window=(0.1, 0.1))
 
+    def test_average_must_start_at_the_edge(self):
+        energies = np.geomspace(1e-3, 1e-1, 10)
+        avg = DisorderAverage(energies, np.exp(-energies ** -0.5), np.zeros(10), 2)
+        with pytest.raises(ValueError, match="not at the edge"):
+            lifshitz_fit(avg, edge=0.0, window=(1e-3, 1e-1))
 
-class TestBandEdgeMass:
-    def test_zero_disorder_mass_matches_the_arccos_increment(self):
-        model = AndersonModel.free(omega_max=0.0)
-        result = band_edge_mass(model, 6, 0.25, realizations=2, theta_resolution=8)
-        assert result.energy == pytest.approx(2.0 * 6 ** -0.25)
-        exact = math.acos(1.0 - result.energy / 2.0) / math.pi
-        assert abs(result.mean - exact) <= 4.0 / (13 * 8)
-        assert result.stderr == 0.0
-
-    def test_alpha_outside_unit_interval_is_rejected(self):
-        model = AndersonModel.free()
-        for alpha in (0.0, 1.0, 1.5, -0.2):
-            with pytest.raises(ValueError, match="alpha"):
-                band_edge_mass(model, 4, alpha, realizations=2)
-
-    def test_bound_is_attached_only_on_request(self):
-        model = AndersonModel.free(omega_max=0.0)
-        bare = band_edge_mass(model, 4, 0.5, realizations=2)
-        assert bare.bound is None
-        with_bound = band_edge_mass(
-            model, 4, 0.5, realizations=2, smoothness_order=9, bound_constant=2.0
-        )
-        assert with_bound.bound == pytest.approx(2.0 * 4 ** (-9 * 0.5 + 3))
+    def test_weak_coupling_chain_measures_mass_from_the_edge_count(self, tmp_path):
+        # N(0.05) is about 0.064 here, and N(0) = 0 because a Dirichlet
+        # chain with V >= 0 is positive definite: the tail mass is N itself
+        config = load_config(str(CONFIG_DIR / "lifshitz_1d.yaml"))
+        config["model"]["single_site"]["strength"] = 0.02
+        config["execution"].update(realizations=4, threads=1)
+        run_dir = Path(run(config, out_root=str(tmp_path)).directory)
+        fit = json.loads((run_dir / "lifshitz.json").read_text())["fit"]
+        energies, mass = np.loadtxt(run_dir / "ids.csv", delimiter=",", comments="#",
+                                    skiprows=4, usecols=(0, 1), unpack=True)
+        exp = config["experiment"]
+        assert len(energies) == exp["energy_points"] and mass[0] > exp["mass_low"]
+        in_band = (mass >= exp["mass_low"]) & (mass <= exp["mass_high"])
+        assert fit["window"] == [energies[in_band][0], energies[in_band][-1]]
+        assert fit["n_points"] == np.count_nonzero(in_band)
