@@ -38,6 +38,7 @@ from .hscalc import (
     SmoothCompactFunction,
     dbar_bound_check,
     extend,
+    hs_transform,
     lemma_integral_check,
     leibniz_constant,
     matrix_function_eigh,
@@ -116,6 +117,7 @@ __all__ = [
     "find_band_edges",
     "fixed_theta_check",
     "gap_probability",
+    "hs_transform",
     "ids_difference_experiment",
     "ids_dirichlet_box",
     "ids_periodic_approx",

@@ -362,6 +362,11 @@ def _validate(config: Any) -> tuple[list[str], dict]:
     resolved = {key: _check_block(config[key], schema, key, errors, context)
                 for key, schema in zip(blocks, (_MODEL, _EXPERIMENT, execution))
                 if key in config}
+    if align is True and "dimension" in context:
+        try:  # align_edge scans the bands of one unit cell, whatever the kind
+            GridSpec.from_cells(context["dimension"], context["points_per_cell"], 1)
+        except ValueError as exc:
+            errors.append(f"model.align_edge: the one-cell box of the band-minimum scan: {exc}")
     if kind and "dimension" in context and not any(e.startswith("experiment.") for e in errors):
         for key, cells in _boxes(resolved["experiment"]).items():
             try:  # GridSpec refuses a box over the solver budget

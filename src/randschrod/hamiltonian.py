@@ -315,7 +315,9 @@ class SingleSitePotential:
         """u(x) = delta2 * exp(-delta3 ||x||_inf), truncated where it dips
         below ``tail_floor`` (default keeps the dropped tail < 1e-10)."""
         delta2 = delta1 * math.exp(delta3 * core_diameter / 2.0)
-        radius = math.log(delta2 / tail_floor) / delta3
+        # ln(delta2 / tail_floor) / delta3 with the logarithm taken apart:
+        # the quotient overflows long before the radius is large
+        radius = math.log(delta1 / tail_floor) / delta3 + core_diameter / 2.0
         return SingleSitePotential(
             profile=_ExponentialProfile(delta2, delta3),
             delta1=delta1,

@@ -33,12 +33,14 @@ __all__ = [
     "plateau_function",
     "shifted_weight",
     "leibniz_constant",
+    "HsTransform",
+    "hs_transform",
     "matrix_function_hs",
     "matrix_function_eigh",
     "lemma_integral_check",
 ]
 
-# target bytes per (eigenvalue x node) kernel chunk in matrix_function_hs
+# target bytes per (eigenvalue x node) kernel chunk of HsTransform
 _CHUNK_BYTES = 25_000_000
 
 
@@ -627,23 +629,48 @@ def _require_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def matrix_function_hs(
-    a: np.ndarray,
-    f: SmoothCompactFunction,
-    n: int = 4,
-    quad: QuadratureSpec | None = None,
-    cutoff: CutoffFunction | None = None,
-) -> np.ndarray:
-    """Apply f to a Hermitian matrix through the resolvent integral.
+@dataclass(frozen=True, eq=False)
+class HsTransform:
+    """The scalar resolvent sum g(lam) = (2/pi) Re sum_z c_z / (lam - z)
+    of one quadrature rule, over its live upper half-plane nodes
+    z = x + iy with coefficients c_z = w dbar(z).  Built once per rule by
+    ``hs_transform``; picklable, so process workers can take it."""
 
-    Quadratures the plane integral (1/pi) iint dbar(x,y) (A - z)^{-1}
-    with z = x + iy.  Conjugate symmetry of the integrand folds the
-    lower half-plane into the Hermitian transpose of the upper-half sum,
-    so only y > 0 nodes enter, as r_j = sum_z c_z / (lam_j - z) on each
-    eigenvalue of A = Q diag(lam) Q*; the result is Q diag(2 Re r / pi) Q*.
+    x: np.ndarray
+    y: np.ndarray
+    coeff: np.ndarray
+
+    def __call__(self, lam) -> np.ndarray:
+        lam = np.asarray(lam, dtype=float)
+        flat = lam.ravel()
+        # Re(c / (lam - z)) = (Re c (lam - x) - Im c y) / ((lam - x)^2 + y^2):
+        # real arithmetic throughout, a fraction of the cost of complex division
+        cr, ciy = self.coeff.real, self.coeff.imag * self.y
+        chunk = max(1, _CHUNK_BYTES // (16 * max(1, flat.size)))
+        r = np.zeros(flat.shape)
+        for k in range(0, self.x.size, chunk):
+            part = slice(k, k + chunk)
+            d = flat[:, None] - self.x[part]
+            inv = 1.0 / (d * d + self.y[part] ** 2)
+            r += (d * inv) @ cr[part] - inv @ ciy[part]
+        return (2.0 / math.pi * r).reshape(lam.shape)
+
+
+def hs_transform(
+    f: SmoothCompactFunction,
+    n: int,
+    quad: QuadratureSpec,
+    cutoff: CutoffFunction | None = None,
+) -> HsTransform:
+    """The scalar map lam -> g(lam) that the resolvent integral of f
+    applies to each eigenvalue.
+
+    Quadratures the plane integral (1/pi) iint dbar(x,y) / (lam - z) with
+    z = x + iy.  Conjugate symmetry of the integrand folds the lower
+    half-plane into the real part of the upper-half sum, so only y > 0
+    nodes enter.  The coefficients do not depend on lam, so one transform
+    serves every matrix of a run.
     """
-    a = _require_hermitian(a)
-    quad = quad if quad is not None else QuadratureSpec.for_function(f)
     if quad.eps_y == 0.0 and n < 2:
         raise ValueError("eps_y = 0 requires extension order n >= 2")
     sa, sb = f.support
@@ -655,17 +682,26 @@ def matrix_function_hs(
             f"does not cover supp f x [0, {needed_y}]"
         )
     ext = extend(f, n, cutoff)
-
     zx, zy, w = quad.nodes()
     coeff = w * ext.dbar(zx, zy)
     live = np.abs(coeff) > 0.0
-    zs, coeff = (zx + 1j * zy)[live], coeff[live]
+    return HsTransform(x=zx[live], y=zy[live], coeff=coeff[live])
 
+
+def matrix_function_hs(
+    a: np.ndarray,
+    f: SmoothCompactFunction,
+    n: int = 4,
+    quad: QuadratureSpec | None = None,
+    cutoff: CutoffFunction | None = None,
+) -> np.ndarray:
+    """Apply f to a Hermitian matrix through the resolvent integral:
+    Q diag(g(lam)) Q* for A = Q diag(lam) Q*, g the ``hs_transform``."""
+    a = _require_hermitian(a)
+    quad = quad if quad is not None else QuadratureSpec.for_function(f)
+    g = hs_transform(f, n, quad, cutoff)
     lam, q = np.linalg.eigh(a)
-    chunk = max(1, _CHUNK_BYTES // (16 * lam.size))
-    r = sum((1.0 / (lam[:, None] - zs[k : k + chunk])) @ coeff[k : k + chunk]
-            for k in range(0, zs.size, chunk))
-    return (q * (2.0 * r.real / math.pi)) @ q.conj().T
+    return (q * g(lam)) @ q.conj().T
 
 
 def matrix_function_eigh(a: np.ndarray, f) -> np.ndarray:

@@ -493,13 +493,18 @@ class TestCli:
         ({"kind": "ids", "method": "dirichlet", "cells": 5, "energy_min": 0.0,
           "energy_max": 4.2, "energy_points": 11},
          {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
-                          "decay_rate": 700, "tail_floor": 1e-300}},
+                          "decay_rate": 1e-308}},
          {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
                           "decay_rate": 7}},
          "model.single_site.tail_floor: must keep the bump's truncation radius finite and "
          "at most 10000 cells, the side of the largest box the solver budget admits, got inf"),
+        (_hs_check_config()["experiment"], {"points_per_cell": 20001, "align_edge": True},
+         {"align_edge": False},
+         "model.align_edge: the one-cell box of the band-minimum scan: 20001 grid points "
+         "exceed the solver budget (20000)"),
     ], ids=["exponential-peak-overflow", "gap-prob-unaligned-edge", "box-over-budget",
-            "derived-reference-over-budget", "exponential-reach-overflow"])
+            "derived-reference-over-budget", "exponential-reach-overflow",
+            "align-edge-cell-over-budget"])
     def test_validate_only_refuses_a_model_the_run_cannot_use(
         self, tmp_path, capsys, experiment, model, fix, message
     ):
@@ -512,6 +517,23 @@ class TestCli:
         config["model"].update(fix)
         path = _write(tmp_path, config)
         assert main([experiment["kind"], "--config", path, "--out", str(tmp_path)]) == 0
+
+    def test_exponential_bump_whose_peak_over_floor_overflows_runs(self, tmp_path, capsys):
+        # strength * e^(decay_rate * diameter / 2) / tail_floor overflows, yet the
+        # truncation radius ln(strength / tail_floor) / decay_rate + diameter / 2
+        # is 1.99 cells
+        config = _ids_config()
+        config["model"]["single_site"] = {"kind": "exponential", "strength": 1.0,
+                                          "diameter": 2.0, "decay_rate": 700,
+                                          "tail_floor": 1e-300}
+        config["experiment"] = {"kind": "ids", "method": "dirichlet", "cells": 5,
+                                "energy_min": 0.0, "energy_max": 4.2, "energy_points": 11}
+        path = _write(tmp_path, config)
+        assert main(["ids", "--config", path, "--validate-only"]) == 0
+        radius = build_model(resolve_config(config)).single_site.radius
+        assert radius == pytest.approx(math.log(1e300) / 700 + 1.0, rel=1e-15)
+        assert round(radius, 2) == 1.99
+        assert main(["ids", "--config", path, "--out", str(tmp_path)]) == 0
 
     def test_validate_only_builds_no_model(self, tmp_path, monkeypatch, capsys):
         def scan(*args):

@@ -1,11 +1,14 @@
 """Smooth functions, almost-analytic extensions, half-plane calculus."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from randschrod import runner
+from randschrod.config import load_config
 from randschrod.hscalc import (
     AlmostAnalyticExtension,
     CutoffFunction,
@@ -13,6 +16,7 @@ from randschrod.hscalc import (
     SmoothCompactFunction,
     dbar_bound_check,
     extend,
+    hs_transform,
     hypot1,
     leibniz_constant,
     lemma_integral_check,
@@ -59,6 +63,16 @@ def _stacked_inverse_hs(a, f, n, quad):
         inv = np.linalg.inv(stacked)
         s += np.tensordot(coeff[start : start + chunk], inv, axes=1)
     return (s + s.conj().T) / math.pi
+
+
+def _two_norm_hs_error(matrix_dim, f, order, quad, master_seed, index):
+    """The hs-check error by matrices: ||g(A) - f(A)||_2 for the base and
+    the refined rule, with g(A) and f(A) each from its own eigh.  The
+    reference for the eigenvalue route of runner._hs_error."""
+    a = _complex_hermitian(master_seed, index, matrix_dim)
+    exact = matrix_function_eigh(a, f)
+    return tuple(float(np.linalg.norm(matrix_function_hs(a, f, n=order, quad=q) - exact, 2))
+                 for q in (quad, quad.refine()))
 
 
 def _complex_hermitian(seed, index, dim=20):
@@ -338,6 +352,15 @@ class TestMatrixFunction:
         assert err[0] <= 1e-6
         assert err[1] <= err[0] / 16.0
 
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_transform_matches_the_stacked_inverse_on_a_diagonal_matrix(self, refine):
+        g = plateau_function(1.0, 4)
+        quad = QuadratureSpec.for_function(g)
+        quad = quad.refine() if refine else quad
+        grid = np.linspace(-0.6, 1.6, 23)
+        oracle = np.diag(_stacked_inverse_hs(np.diag(grid), g, 4, quad)).real
+        assert np.max(np.abs(hs_transform(g, 4, quad)(grid) - oracle)) <= 1e-11
+
     def test_non_hermitian_input_is_rejected(self):
         g = plateau_function(1.0, 4)
         with pytest.raises(ValueError, match="Hermitian"):
@@ -349,6 +372,34 @@ class TestMatrixFunction:
         a = self._hermitian(dim=4, seed=11)
         out = matrix_function_eigh(a, lambda w: w**2 + 1.0)
         assert np.allclose(out, a @ a + np.eye(4), atol=1e-12)
+
+
+class TestHsCheckErrors:
+    def test_eigenvalue_route_matches_the_two_norm_route(self):
+        g = plateau_function(1.0, 4)
+        quad = QuadratureSpec.for_function(g)
+        transforms = (hs_transform(g, 4, quad), hs_transform(g, 4, quad.refine()))
+        for index in range(5):
+            errors = runner._hs_error(20, g, transforms, 7, index)
+            oracle = _two_norm_hs_error(20, g, 4, quad, 7, index)
+            assert np.max(np.abs(np.subtract(errors, oracle))) <= 1e-11, index
+
+    def test_coefficients_are_built_once_per_rule(self, tmp_path, monkeypatch):
+        config = load_config(str(Path(__file__).resolve().parent.parent
+                                 / "configs" / "hs_check.yaml"))
+        config["execution"]["threads"] = 1
+        assert config["experiment"]["matrices"] == 25 and config["experiment"]["refine"]
+        calls = []
+        dbar = AlmostAnalyticExtension.dbar
+
+        def counted(self, x, y):
+            calls.append(np.size(x))
+            return dbar(self, x, y)
+
+        monkeypatch.setattr(AlmostAnalyticExtension, "dbar", counted)
+        runner.run(config, out_root=str(tmp_path))
+        # one call for the base rule and one for the refined rule
+        assert len(calls) == 2
 
 
 class TestLemmaIntegral:
