@@ -69,6 +69,7 @@ from .probes import (
     m_regularity_test,
     msa_schedule,
     theta_average_check,
+    theta_bounds_check,
     wilson_interval,
 )
 from .runner import ResultEnvelope, VERSION, parallel_map, run
@@ -138,6 +139,7 @@ __all__ = [
     "shifted_weight",
     "smoothstep",
     "theta_average_check",
+    "theta_bounds_check",
     "validate_single_site",
     "wilson_interval",
 ]

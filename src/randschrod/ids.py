@@ -18,12 +18,7 @@ import numpy as np
 
 from .bands import brillouin_zone
 from .disorder import DisorderSample
-from .hamiltonian import (
-    AssembledHamiltonian,
-    BoundaryCondition,
-    NumericalFailure,
-    count_strictly_below,
-)
+from .hamiltonian import AssembledHamiltonian, BoundaryCondition, NumericalFailure
 from .model import AndersonModel
 
 __all__ = [
@@ -116,9 +111,8 @@ def ids_periodic_approx(
     length = 2 * half_width + 1
     weight = 1.0 / (length * theta_resolution) ** d
     nodes = brillouin_zone(half_width, d).midpoint_nodes(theta_resolution)
-    spectra = model.zone_spectra(half_width, nodes, sample=sample)
-    counts = count_strictly_below(spectra, energies).sum(axis=0)
-    running = np.concatenate([[0.0], np.cumsum(np.full(spectra.size, weight))])
+    counts = model.zone_counts(half_width, nodes, energies, sample=sample).sum(axis=0)
+    running = np.concatenate([[0.0], np.cumsum(np.full(counts.max(), weight))])
     return IdsCurve(energies, running[counts], float(length**d))
 
 

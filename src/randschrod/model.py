@@ -25,6 +25,7 @@ from .hamiltonian import (
     assemble_anderson,
     assemble_h0,
     assemble_periodic_approx,
+    count_strictly_below,
     folded_potential,
     site_ranges,
 )
@@ -170,6 +171,22 @@ class AndersonModel:
             folded_potential(grid, self.single_site, sample), label="periodic-approx"
         )
         return cut.bloch_spectra(bcs)
+
+    def zone_counts(
+        self,
+        half_width: int,
+        nodes: Sequence[Sequence[float]],
+        energies: Sequence[float],
+        realization: int = 0,
+        sample: DisorderSample | None = None,
+    ) -> np.ndarray:
+        """#{eigenvalues of H_{omega,l}(theta) < E}, one row per node, one column per E.
+
+        Every count on a wrapped box is taken here, from the rows of
+        ``zone_spectra``, so a tie within rounding is not decided.
+        """
+        spectra = self.zone_spectra(half_width, nodes, realization, sample)
+        return count_strictly_below(spectra, energies)
 
     # -- band edge --------------------------------------------------------
 

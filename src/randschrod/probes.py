@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .bands import brillouin_zone
-from .hamiltonian import AssembledHamiltonian, GridSpec, NumericalFailure, count_strictly_below
+from .hamiltonian import AssembledHamiltonian, GridSpec, NumericalFailure
 from .hscalc import smoothstep
 from .ids import mean_stderr
 from .model import AndersonModel
@@ -33,6 +33,7 @@ __all__ = [
     "wilson_interval",
     "combes_thomas_profile",
     "gap_probability",
+    "theta_bounds_check",
     "theta_average_check",
     "fixed_theta_check",
     "msa_schedule",
@@ -176,18 +177,6 @@ class GapProbabilityEstimate:
             raise ValueError("hits outside [0, samples]")
 
 
-def _zone_counts(spectra: np.ndarray, energy: float) -> np.ndarray:
-    """#{eigenvalues in [0, energy)} in each row of a ``zone_spectra`` array."""
-    below = count_strictly_below(spectra, [0.0, energy])
-    return below[:, 1] - below[:, 0]
-
-
-def _gap_hit(model, half_width, theta0, window, realization) -> bool:
-    """The Periodic box is the Bloch operator at theta = 0."""
-    theta = (0.0,) * model.dimension if theta0 is None else theta0
-    return bool(_zone_counts(model.zone_spectra(half_width, [theta], realization), window)[0] > 0)
-
-
 def gap_probability(
     model: AndersonModel,
     side: int,
@@ -221,8 +210,10 @@ def gap_probability(
         boundary = "theta(" + ",".join(f"{t:.6g}" for t in theta0) + ")"
 
     window = float(side) ** (-alpha)
-    hit = partial(_gap_hit, model, (side - 1) // 2, theta0, window)
-    hits = sum((map_fn or map)(hit, range(realizations)))
+    # the Periodic box is the Bloch operator at theta = 0
+    theta = (0.0,) * model.dimension if theta0 is None else theta0
+    counts = partial(model.zone_counts, (side - 1) // 2, [theta], [0.0, window])
+    hits = sum(int(c[0, 1] > c[0, 0]) for c in (map_fn or map)(counts, range(realizations)))
     return GapProbabilityEstimate(
         side=side,
         alpha=alpha,
@@ -255,53 +246,6 @@ class ThetaAverageReport:
         return self.lhs <= self.rhs + 2.0 * math.hypot(self.lhs_stderr, self.rhs_stderr)
 
 
-def _theta_average_sample(model, half_width, energy, nodes, realization) -> tuple[int, int]:
-    """(zone nodes with an eigenvalue in [0, E), eigenvalues in [0, E) over all nodes)."""
-    counts = _zone_counts(model.zone_spectra(half_width, nodes, realization), energy)
-    return int(np.count_nonzero(counts)), int(counts.sum())
-
-
-def theta_average_check(
-    model: AndersonModel,
-    half_width: int,
-    energy: float,
-    realizations: int,
-    theta_resolution: int = 8,
-    map_fn: Callable | None = None,
-) -> ThetaAverageReport:
-    """Zone-averaged hit probability against the expected counting mass.
-
-    LHS: integral over the zone of P{spectrum meets [0, E)}.  RHS:
-    (2 pi)^d E[N(E) - N(0)] of the periodic approximation.  Both sides
-    are estimated on one shared theta grid and sample set, for which
-    count >= indicator holds pointwise, so the inequality is exact up to
-    nothing; the stderrs quantify how representative the estimate is.
-    """
-    if energy <= 0:
-        raise ValueError("energy must be positive")
-    d = model.dimension
-    l = half_width
-    zone = brillouin_zone(l, d)
-    nodes = zone.midpoint_nodes(theta_resolution)
-    cells = 2 * l + 1
-
-    sample = partial(_theta_average_sample, model, l, energy, nodes)
-    sums = np.asarray(list((map_fn or map)(sample, range(realizations))))
-    t_nodes = len(nodes)
-    lhs, lhs_se = mean_stderr(zone.volume * sums[:, 0] / t_nodes)
-    rhs, rhs_se = mean_stderr((2 * math.pi) ** d * sums[:, 1] / (cells**d * t_nodes))
-    return ThetaAverageReport(
-        half_width=l,
-        energy=energy,
-        realizations=realizations,
-        theta_resolution=theta_resolution,
-        lhs=float(lhs),
-        lhs_stderr=float(lhs_se),
-        rhs=float(rhs),
-        rhs_stderr=float(rhs_se),
-    )
-
-
 @dataclass(frozen=True)
 class FixedThetaReport:
     half_width: int
@@ -328,14 +272,106 @@ class FixedThetaReport:
         )
 
 
-def _fixed_theta_sample(
-    model, half_width, energy, theta0, enlarged, nodes, realization
-) -> tuple[bool, int]:
-    """(an eigenvalue in [0, E) at theta0, eigenvalues in [0, E') over the zone nodes)."""
-    spectra = model.zone_spectra(half_width, [*nodes, theta0], realization)
-    return bool(_zone_counts(spectra[-1:], energy)[0] > 0), int(
-        _zone_counts(spectra[:-1], enlarged).sum()
+def theta_bounds_check(
+    model: AndersonModel,
+    half_width: int,
+    energy: float,
+    realizations: int,
+    theta_resolution: int = 8,
+    theta0: tuple[float, ...] | float | None = None,
+    xi: float | None = None,
+    map_fn: Callable | None = None,
+) -> tuple[ThetaAverageReport, FixedThetaReport | None]:
+    """The zone-averaged check and, given ``theta0``, the fixed-theta check,
+    from one count per realization at the zone nodes and theta0.
+
+    Zone average.  LHS: integral over the zone of P{spectrum meets
+    [0, E)}.  RHS: (2 pi)^d E[N(E) - N(0)] of the periodic approximation.
+    Both sides are estimated on one shared theta grid and sample set, for
+    which count >= indicator holds pointwise, so the inequality is exact up
+    to nothing; the stderrs quantify how representative the estimate is.
+
+    Fixed theta.  P{spectrum at theta0 meets [0, E)} against the mean count
+    in [0, E') over the zone nodes.  The window widens by C9 / l with
+    C9 = xi * C8, where C8 is the exact sup-norm zone-diameter coefficient
+    2 pi l / (2l + 1).  With a true Lipschitz constant the per-sample
+    inequality is sure; a fitted xi makes it statistical, hence the 2 sigma
+    slack in ``passed``.
+    """
+    if energy <= 0:
+        raise ValueError("energy must be positive")
+    d = model.dimension
+    l = half_width
+    zone = brillouin_zone(l, d)
+    nodes = zone.midpoint_nodes(theta_resolution)
+    t_nodes = len(nodes)
+    energies = [0.0, energy]
+    if theta0 is not None:
+        if not energy < 1.0:
+            raise ValueError("the fixed-theta check assumes energy < 1")
+        if xi is None or xi < 0:
+            raise ValueError("Lipschitz coefficient must be given and >= 0")
+        theta0 = tuple(np.atleast_1d(np.asarray(theta0, dtype=float)).tolist())
+        if len(theta0) != d:
+            raise ValueError(f"theta0 must have {d} components")
+        for t in theta0:
+            if abs(t) > zone.extent + 1e-12:
+                raise ValueError(f"theta0 component {t} outside the reduced zone")
+        c8 = 2.0 * math.pi * l / (2 * l + 1)
+        c9 = xi * c8
+        energies.append(energy + c9 / l)
+        nodes = [*nodes, theta0]
+
+    counts = partial(model.zone_counts, l, nodes, energies)
+    rows = np.asarray(list((map_fn or map)(counts, range(realizations))))
+    inside = rows[..., 1:] - rows[..., :1]  # [realization, node, window]: counts in [0, window)
+    in_window = inside[:, :t_nodes, 0]
+    lhs, lhs_se = mean_stderr(zone.volume * np.count_nonzero(in_window, axis=1) / t_nodes)
+    rhs, rhs_se = mean_stderr(
+        (2 * math.pi) ** d * in_window.sum(axis=1) / ((2 * l + 1) ** d * t_nodes)
     )
+    average = ThetaAverageReport(
+        half_width=l,
+        energy=energy,
+        realizations=realizations,
+        theta_resolution=theta_resolution,
+        lhs=float(lhs),
+        lhs_stderr=float(lhs_se),
+        rhs=float(rhs),
+        rhs_stderr=float(rhs_se),
+    )
+    if theta0 is None:
+        return average, None
+    hits = int(np.count_nonzero(inside[:, -1, 0]))
+    prob = hits / realizations
+    bound, bound_se = mean_stderr(inside[:, :t_nodes, 1].sum(axis=1) / t_nodes)
+    return average, FixedThetaReport(
+        half_width=l,
+        energy=energy,
+        theta0=theta0,
+        xi=xi,
+        c8=c8,
+        c9=c9,
+        enlarged_energy=energies[2],
+        probability=prob,
+        interval=wilson_interval(hits, realizations),
+        prob_stderr=math.sqrt(prob * (1 - prob) / realizations),
+        bound=float(bound),
+        bound_stderr=float(bound_se),
+    )
+
+
+def theta_average_check(
+    model: AndersonModel,
+    half_width: int,
+    energy: float,
+    realizations: int,
+    theta_resolution: int = 8,
+    map_fn: Callable | None = None,
+) -> ThetaAverageReport:
+    """The zone-averaged report of ``theta_bounds_check``."""
+    return theta_bounds_check(model, half_width, energy, realizations, theta_resolution,
+                              map_fn=map_fn)[0]
 
 
 def fixed_theta_check(
@@ -348,54 +384,9 @@ def fixed_theta_check(
     theta_resolution: int = 8,
     map_fn: Callable | None = None,
 ) -> FixedThetaReport:
-    """Single-theta hit probability against the Lipschitz-enlarged mass.
-
-    The window widens by C9 / l with C9 = xi * C8, where C8 is the exact
-    sup-norm zone-diameter coefficient 2 pi l / (2l + 1).  With a true
-    Lipschitz constant the per-sample inequality is sure; a fitted xi
-    makes it statistical, hence the 2 sigma slack in ``passed``.
-    """
-    if not energy < 1.0:
-        raise ValueError("the check assumes energy < 1")
-    if energy <= 0:
-        raise ValueError("energy must be positive")
-    if xi < 0:
-        raise ValueError("Lipschitz coefficient must be >= 0")
-    d = model.dimension
-    l = half_width
-    theta0 = tuple(np.atleast_1d(np.asarray(theta0, dtype=float)).tolist())
-    if len(theta0) != d:
-        raise ValueError(f"theta0 must have {d} components")
-    zone = brillouin_zone(l, d)
-    for t in theta0:
-        if abs(t) > zone.extent + 1e-12:
-            raise ValueError(f"theta0 component {t} outside the reduced zone")
-
-    c8 = 2.0 * math.pi * l / (2 * l + 1)
-    c9 = xi * c8
-    enlarged = energy + c9 / l
-    nodes = zone.midpoint_nodes(theta_resolution)
-
-    sample = partial(_fixed_theta_sample, model, l, energy, theta0, enlarged, nodes)
-    rows = list((map_fn or map)(sample, range(realizations)))
-    hits = sum(hit for hit, _ in rows)
-    prob = hits / realizations
-    prob_se = math.sqrt(prob * (1 - prob) / realizations)
-    bound, bound_se = mean_stderr([count / len(nodes) for _, count in rows])
-    return FixedThetaReport(
-        half_width=l,
-        energy=energy,
-        theta0=tuple(theta0),
-        xi=xi,
-        c8=c8,
-        c9=c9,
-        enlarged_energy=enlarged,
-        probability=prob,
-        interval=wilson_interval(hits, realizations),
-        prob_stderr=prob_se,
-        bound=float(bound),
-        bound_stderr=float(bound_se),
-    )
+    """The fixed-theta report of ``theta_bounds_check``."""
+    return theta_bounds_check(model, half_width, energy, realizations, theta_resolution,
+                              theta0, xi, map_fn)[1]
 
 
 def _next_scale(length: int, zeta: float) -> int:

@@ -45,11 +45,10 @@ from .ids import (
 )
 from .probes import (
     combes_thomas_profile,
-    fixed_theta_check,
     gap_probability,
     m_regularity_test,
     msa_schedule,
-    theta_average_check,
+    theta_bounds_check,
 )
 
 __all__ = [
@@ -381,19 +380,14 @@ def _run_gap_prob(model, exp, execution, sink, mapper):
 
 
 def _run_theta_bounds(model, exp, execution, sink, mapper):
-    m = execution["realizations"]
-    avg = theta_average_check(
-        model, exp["half_width"], exp["energy"], m,
-        theta_resolution=exp["theta_resolution"], map_fn=mapper,
+    avg, fixed = theta_bounds_check(
+        model, exp["half_width"], exp["energy"], execution["realizations"],
+        exp["theta_resolution"], exp["theta0"], exp["xi"], map_fn=mapper,
     )
     payload: dict = {"average": avg, "average_passed": avg.passed}
     passed = avg.passed
     parts = [f"zone-average slack {avg.slack:+.3e}"]
-    if exp["theta0"] is not None:
-        fixed = fixed_theta_check(
-            model, exp["half_width"], exp["energy"], tuple(exp["theta0"]), m,
-            exp["xi"], theta_resolution=exp["theta_resolution"], map_fn=mapper,
-        )
+    if fixed is not None:
         payload["fixed"] = fixed
         payload["fixed_passed"] = fixed.passed
         passed = passed and fixed.passed

@@ -49,3 +49,16 @@ def test_traced_tiny_hs_quadrature_round(tmp_path):
     # refinement-gain check can fail a correct quadrature
     assert result["correct"], out.stderr
     assert result["attempted"] == 1
+
+
+def test_traced_tiny_zone_theta_round(tmp_path):
+    out = _run([str(ROOT / "bench" / "run.py"), "--workload", "zone-theta", "--seed",
+                "0", "--seconds", "0", "--trace", "1", "--tiny"], _checkout(tmp_path))
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"], out.stderr
+    assert result["attempted"] == 1 and result["failed"] == 0
+    # one map over the two realizations, each assembling its Bloch operator once
+    metrics = result["metrics"]
+    assert metrics["hamiltonian.assemble_h0_calls"]["value"] == 2
+    assert metrics["runner.map_items"]["value"] == 2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from randschrod import hamiltonian
 from randschrod import model as model_module
 from randschrod import runner
 from randschrod.cli import main
@@ -676,6 +677,22 @@ class TestCli:
 
         monkeypatch.setattr(model_module, "assemble_periodic_approx", sparse)
         runner.run(copy.deepcopy(config), out_root=str(tmp_path))
+
+    def test_theta_bounds_builds_each_bloch_operator_once(self, tmp_path, monkeypatch):
+        # both checks read one count of each realization at the zone nodes and theta0
+        rows = []
+        bloch_spectra = hamiltonian.AssembledHamiltonian.bloch_spectra
+
+        def counted(self, bcs):
+            rows.append(len(bcs))
+            return bloch_spectra(self, bcs)
+
+        monkeypatch.setattr(hamiltonian.AssembledHamiltonian, "bloch_spectra", counted)
+        config = _theta_bounds_config()
+        config["execution"]["threads"] = 1  # the counter lives in this process
+        runner.run(config, out_root=str(tmp_path))
+        m = config["execution"]["realizations"]
+        assert rows == [config["experiment"]["theta_resolution"] + 1] * m
 
     def test_result_envelope_fields(self, tmp_path, capsys):
         body = self._run_and_read(tmp_path, "envelope", threads=1)

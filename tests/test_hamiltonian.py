@@ -22,7 +22,7 @@ from randschrod import (
     sample_disorder,
     validate_single_site,
 )
-from randschrod.hamiltonian import _BoxProfile, _ExponentialProfile
+from randschrod.hamiltonian import _BoxProfile, _ExponentialProfile, count_strictly_below
 
 
 def _free_h0(cells, bc, dimension=1, points_per_cell=1):
@@ -291,7 +291,14 @@ class TestZoneSpectra:
         assert len(spectra) == len(nodes)
         for theta, row in zip(nodes, spectra):
             box = model.periodic_box_at(half_width, theta, **source)
-            assert np.array_equal(row, box.eigenvalues())
+            oracle = box.eigenvalues()
+            assert np.array_equal(row, oracle)
+            # the spectrum lies above v0_shift > 0; the midpoints stay off
+            # every eigenvalue, also where two of them coincide
+            gaps = np.diff(oracle) > 1e-9
+            energies = [0.0, *((oracle[:-1] + oracle[1:]) / 2)[gaps]]
+            counts = model.zone_counts(half_width, [theta], energies, **source)
+            assert np.array_equal(counts, [count_strictly_below(oracle, energies)])
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_free_unit_cell_rows_are_the_cosine_dispersion(self, dimension):
