@@ -43,6 +43,10 @@ __all__ = [
 # thrash.
 SOLVER_BUDGET_POINTS = 20_000
 
+# Largest stack of dense Bloch matrices that ``bloch_spectra`` fills and
+# solves in one call; more quasimomenta are taken in chunks.
+_STACK_BYTES = 4_000_000
+
 
 class NumericalFailure(ValueError):
     """A computation on valid input gave no trustworthy number: an empty or
@@ -454,38 +458,46 @@ class AssembledHamiltonian:
             w = w[w < upper]
         return w
 
-    def bloch_spectra(self, bcs: Sequence[BoundaryCondition]) -> np.ndarray:
+    def bloch_spectra(
+        self, potential: np.ndarray, bcs: Sequence[BoundaryCondition]
+    ) -> np.ndarray:
         """Sorted eigenvalues of the Bloch operator under each Theta condition, one row each.
 
-        This box has its wrap bonds cut (Dirichlet) and is A in
-        H(theta) = A + sum_a (e^{i theta_a} B_a + h.c.), where B_a holds the
-        wrap bonds of axis a (``_wrap_bonds``).  At each condition the bond
-        entries restart from A and the hops are added to them, as assembly
-        adds them: on a one-point axis a bond sits on the diagonal and adds
-        -2w cos(theta_a), on a two-point axis it adds to the interior bond.
-        Wherever every axis has at least 2 points, H(theta) is the box
-        assembled under ``bcs[i]`` entry for entry and row i is its
-        ``eigenvalues()``; on a one-point axis the diagonal sums its terms
-        in another order.
+        This box has its wrap bonds cut (Dirichlet); A is its dense matrix
+        plus the multiplication by ``potential`` (one value per grid point),
+        and H(theta) = A + sum_a (e^{i theta_a} B_a + h.c.), where B_a holds
+        the wrap bonds of axis a (``_wrap_bonds``).  Each H(theta) starts
+        from a copy of A and adds the hops as assembly adds them: on a
+        one-point axis a bond sits on the diagonal and adds -2w cos(theta_a),
+        on a two-point axis it adds to the interior bond.  The matrices are
+        stacked and solved by one ``numpy.linalg.eigvalsh`` per chunk of at
+        most ``_STACK_BYTES``.  Wherever every axis has at least 2 points,
+        H(theta) is the box assembled under ``bcs[i]`` plus ``potential``
+        entry for entry and row i is its ``eigenvalues()``; on a one-point
+        axis the diagonal sums its terms in another order.
         """
         if self.bc.wraps:
             raise ValueError(f"the Bloch operator starts from a Dirichlet box, not {self.bc.kind}")
+        d = self.grid.dimension
+        for bc in bcs:
+            if bc.kind != "theta" or len(bc.theta) != d:
+                raise ValueError(f"need {d} theta phases, got {bc}")
         n = self.n
-        work = self.dense().astype(complex)
-        entries = work.reshape(-1)  # a view: flat index i * n + j is entry (i, j)
+        a = self.dense().astype(complex)
+        a.flat[:: n + 1] += potential
         bonds = [(src * n + dst, dst * n + src, w) for src, dst, w in _wrap_bonds(self.grid)]
-        touched = np.concatenate([np.concatenate(bond[:2]) for bond in bonds])
-        cut = entries[touched]
+        phases = np.array([bc.theta for bc in bcs], dtype=float).reshape(len(bcs), d)
         rows = np.empty((len(bcs), n))
-        for i, bc in enumerate(bcs):
-            if bc.kind != "theta" or len(bc.theta) != self.grid.dimension:
-                raise ValueError(f"need {self.grid.dimension} theta phases, got {bc}")
-            entries[touched] = cut
-            for (fwd, bwd, w), phase in zip(bonds, bc.theta):
-                hop = _wrap_hop(w, phase)
-                entries[fwd] += hop
-                entries[bwd] += np.conj(hop)
-            rows[i] = scipy.linalg.eigvalsh(work)
+        chunk = max(1, _STACK_BYTES // a.nbytes)
+        for start in range(0, len(bcs), chunk):
+            theta = phases[start : start + chunk]
+            stack = np.repeat(a[None], len(theta), axis=0)
+            entries = stack.reshape(len(theta), n * n)  # a view: column i * n + j is entry (i, j)
+            for (fwd, bwd, w), phase in zip(bonds, theta.T):
+                hop = _wrap_hop(w, phase)[:, None]
+                entries[:, fwd] += hop
+                entries[:, bwd] += np.conj(hop)
+            rows[start : start + chunk] = np.linalg.eigvalsh(stack)
         return rows
 
     def with_matrix(self, matrix: scipy.sparse.csr_matrix, label: str) -> "AssembledHamiltonian":
@@ -548,7 +560,8 @@ def _wrap_bonds(grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray, float]]:
     ]
 
 
-def _wrap_hop(w: float, phase: float) -> complex:
+def _wrap_hop(w: float, phase):
+    """Hop of a wrap bond of weight ``w`` at one phase or an array of phases."""
     return -w * np.exp(1j * phase)
 
 

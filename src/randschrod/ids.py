@@ -168,9 +168,10 @@ def _functional_periodic(model, g, half_width, theta_resolution, realization) ->
     d = model.dimension
     nodes = brillouin_zone(half_width, d).midpoint_nodes(theta_resolution)
     weight = 1.0 / ((2 * half_width + 1) * theta_resolution) ** d
+    values = np.asarray(g(model.zone_spectra(half_width, nodes, realization)), dtype=float)
     total = 0.0
-    for evals in model.zone_spectra(half_width, nodes, realization):
-        total += float(np.sum(np.asarray(g(evals), dtype=float)))
+    for row in values:  # node by node: this order fixes the rounding of the payload
+        total += float(np.sum(row))
     return weight * total
 
 

@@ -8,6 +8,7 @@ box matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -33,6 +34,30 @@ from .hamiltonian import (
 __all__ = ["AndersonModel", "align_band_edge"]
 
 _SCAN_CHUNK = 4096  # zone nodes per zone_spectra call in band_minimum
+
+
+def _shared_h0(
+    grid: GridSpec, v0: PeriodicPotential, bc: BoundaryCondition
+) -> AssembledHamiltonian:
+    """``assemble_h0(grid, v0, bc)``, assembled once per process for each key.
+
+    Every realization of a run reuses the H0 of its box.  The memo lives
+    in the module, not on the model, because ``parallel_map`` pickles the
+    model with every task.  Callers share the result and never mutate it.
+    """
+    return _h0_memo(grid, bc, v0.dimension, v0.points_per_cell, v0.cell_values.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _h0_memo(
+    grid: GridSpec, bc: BoundaryCondition, dimension: int, points_per_cell: int, cells: bytes
+) -> AssembledHamiltonian:
+    shape = (points_per_cell,) * dimension
+    v0 = PeriodicPotential(dimension, points_per_cell, np.frombuffer(cells).reshape(shape))
+    h0 = assemble_h0(grid, v0, bc)
+    for part in (h0.matrix.data, h0.matrix.indices, h0.matrix.indptr):
+        part.flags.writeable = False  # a caller that writes raises instead of corrupting the memo
+    return h0
 
 
 @dataclass(frozen=True)
@@ -80,7 +105,7 @@ class AndersonModel:
         return GridSpec.from_cells(self.dimension, self.points_per_cell, cells)
 
     def h0_box(self, cells: int | Sequence[int], bc: BoundaryCondition) -> AssembledHamiltonian:
-        return assemble_h0(self.grid(cells), self.v0, bc)
+        return _shared_h0(self.grid(cells), self.v0, bc)
 
     def sample_for_box(self, grid: GridSpec, realization: int) -> DisorderSample:
         ranges = site_ranges(grid, self.single_site.radius)
@@ -96,7 +121,7 @@ class AndersonModel:
     ) -> AssembledHamiltonian:
         """Box restriction of H_omega with independently sampled couplings."""
         grid = self.grid(cells)
-        h0 = assemble_h0(grid, self.v0, bc)
+        h0 = _shared_h0(grid, self.v0, bc)
         return assemble_anderson(h0, self.single_site, self.sample_for_box(grid, realization))
 
     def periodic_box(
@@ -156,9 +181,10 @@ class AndersonModel:
     ) -> np.ndarray:
         """Sorted spectra of H_{omega,l}(theta) at each zone node, one row per node.
 
-        A, the Dirichlet H0 plus the folded potential of H_{omega,l}, is
-        assembled once; every node then adds its wrap hops to A
-        (``AssembledHamiltonian.bloch_spectra``).  Row i equals
+        A, the Dirichlet H0 of the box (assembled once per process) plus the
+        folded potential of H_{omega,l}, is made dense once; every node then
+        adds its wrap hops to a copy of A, and the copies are solved as one
+        stack (``AssembledHamiltonian.bloch_spectra``).  Row i equals
         ``periodic_box_at(half_width, nodes[i], ...).eigenvalues()`` bitwise
         wherever every axis has at least 2 grid points, and to rounding on
         a one-point axis.
@@ -167,10 +193,8 @@ class AndersonModel:
         grid = self.grid(2 * half_width + 1)
         if sample is None:
             sample = self.sample_fundamental(grid, realization)
-        cut = assemble_h0(grid, self.v0, BoundaryCondition.dirichlet()).with_potential(
-            folded_potential(grid, self.single_site, sample), label="periodic-approx"
-        )
-        return cut.bloch_spectra(bcs)
+        h0 = _shared_h0(grid, self.v0, BoundaryCondition.dirichlet())
+        return h0.bloch_spectra(folded_potential(grid, self.single_site, sample), bcs)
 
     def zone_counts(
         self,

@@ -683,9 +683,9 @@ class TestCli:
         rows = []
         bloch_spectra = hamiltonian.AssembledHamiltonian.bloch_spectra
 
-        def counted(self, bcs):
+        def counted(self, potential, bcs):
             rows.append(len(bcs))
-            return bloch_spectra(self, bcs)
+            return bloch_spectra(self, potential, bcs)
 
         monkeypatch.setattr(hamiltonian.AssembledHamiltonian, "bloch_spectra", counted)
         config = _theta_bounds_config()
@@ -693,6 +693,22 @@ class TestCli:
         runner.run(config, out_root=str(tmp_path))
         m = config["execution"]["realizations"]
         assert rows == [config["experiment"]["theta_resolution"] + 1] * m
+
+    def test_lifshitz_assembles_h0_once_for_all_realizations(self, tmp_path, monkeypatch):
+        # every realization adds its couplings to one shared Dirichlet H0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hamiltonian.assemble_h0(*args)
+
+        model_module._h0_memo.cache_clear()
+        monkeypatch.setattr(model_module, "assemble_h0", counted)
+        config = _lifshitz_config()
+        config["execution"]["threads"] = 1  # the counter lives in this process
+        runner.run(config, out_root=str(tmp_path))
+        assert config["execution"]["realizations"] > 1
+        assert len(calls) == 1
 
     def test_result_envelope_fields(self, tmp_path, capsys):
         body = self._run_and_read(tmp_path, "envelope", threads=1)

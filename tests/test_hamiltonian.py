@@ -22,6 +22,7 @@ from randschrod import (
     sample_disorder,
     validate_single_site,
 )
+from randschrod import hamiltonian
 from randschrod.hamiltonian import _BoxProfile, _ExponentialProfile, count_strictly_below
 
 
@@ -337,10 +338,32 @@ class TestZoneSpectra:
             else:
                 assert np.array_equal(row, box)
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_rows_solved_in_chunks_equal_one_stack(self, monkeypatch, dimension):
+        model = AndersonModel.free(dimension=dimension, points_per_cell=2, omega_max=0.8,
+                                   master_seed=4)
+        axis = np.linspace(-math.pi / 5, math.pi / 5, 5)
+        nodes = list(itertools.product(axis, repeat=dimension))
+        whole = model.zone_spectra(2, nodes, realization=1)
+
+        n = 10**dimension
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            stacks.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(hamiltonian, "_STACK_BYTES", 3 * 16 * n * n)  # 3 matrices
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        chunked = model.zone_spectra(2, nodes, realization=1)
+        assert stacks == [3] * (len(nodes) // 3) + [len(nodes) % 3] * (len(nodes) % 3 > 0)
+        assert np.array_equal(chunked, whole)
+
     def test_bloch_operator_starts_from_a_dirichlet_box(self):
         h = _free_h0(5, BoundaryCondition.periodic())
         with pytest.raises(ValueError, match="Dirichlet"):
-            h.bloch_spectra([BoundaryCondition.with_phases([0.5])])
+            h.bloch_spectra(np.zeros(h.n), [BoundaryCondition.with_phases([0.5])])
 
 
 class TestModelConveniences:

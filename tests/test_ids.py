@@ -16,6 +16,7 @@ from randschrod import (
     DisorderAverage,
     IdsCurve,
     average_ids,
+    brillouin_zone,
     ids_difference_experiment,
     ids_dirichlet_box,
     ids_periodic_approx,
@@ -238,6 +239,20 @@ class TestDifferenceExperiment:
         )
         row = table.rows[0]
         assert abs(row.delta - row.noise_floor) <= 2.0 * row.stderr
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_periodic_functional_equals_the_node_by_node_sum(self, dimension):
+        # g is applied to all nodes at once; the sum must round as the loop does
+        model = AndersonModel.free(dimension=dimension, points_per_cell=2, omega_max=0.5,
+                                   master_seed=4)
+        g = plateau_function(0.5, 4)
+        for l in (1, 2):
+            nodes = brillouin_zone(l, dimension).midpoint_nodes(3)
+            total = 0.0
+            for evals in model.zone_spectra(l, nodes, realization=2):
+                total += float(np.sum(np.asarray(g(evals), dtype=float)))
+            weight = 1.0 / ((2 * l + 1) * 3) ** dimension
+            assert _functional_periodic(model, g, l, 3, 2) == weight * total
 
     def test_stderr_is_that_of_the_paired_differences(self):
         # realization m shares one coupling field between the reference and

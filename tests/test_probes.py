@@ -212,18 +212,19 @@ class TestThetaAverageCheck:
         assert report.slack == pytest.approx(report.rhs - report.lhs)
         assert report.realizations == 12
 
-    def test_each_realization_assembles_its_box_once(self, monkeypatch):
+    def test_all_realizations_share_one_assembled_box(self, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return hamiltonian.assemble_h0(*args, **kwargs)
 
+        model_module._h0_memo.cache_clear()
         monkeypatch.setattr(model_module, "assemble_h0", counted)
         model = AndersonModel.free(omega_max=0.2, master_seed=6)
         theta_average_check(model, half_width=3, energy=0.25, realizations=5,
                             theta_resolution=4)
-        assert len(calls) == 5
+        assert len(calls) == 1
 
 
 class TestFixedThetaCheck:
