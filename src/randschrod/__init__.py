@@ -48,10 +48,8 @@ from .hscalc import (
     smoothstep,
 )
 from .ids import (
-    DisorderAverage,
     IdsCurve,
     LifshitzFit,
-    average_ids,
     ids_difference_experiment,
     ids_dirichlet_box,
     ids_periodic_approx,
@@ -86,7 +84,6 @@ __all__ = [
     "BrillouinZone",
     "ConfigError",
     "CutoffFunction",
-    "DisorderAverage",
     "DisorderModel",
     "DisorderSample",
     "GapProbabilityEstimate",
@@ -106,7 +103,6 @@ __all__ = [
     "assemble_anderson",
     "assemble_h0",
     "assemble_periodic_approx",
-    "average_ids",
     "brillouin_zone",
     "build_model",
     "check_regularity",

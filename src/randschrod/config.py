@@ -278,18 +278,22 @@ _KINDS = {
         "mass_high": _num(0.0, 1e-1, hi=0.5, strict=True), **_ENERGIES,
         "energy_points": _int(10, 400), "eigen_cutoff": _num(default=None),
     }, (_WINDOW, (("energy_min", "edge"), lambda lo, edge: lo <= edge and [
-        f"energy_min: must lie above the edge {edge}"])), _SAMPLED),
+        f"energy_min: must lie above the edge {edge}"]),
+        (("mass_low", "mass_high"), lambda lo, hi: lo >= hi and [
+            f"mass_low: must be below mass_high {hi}, got {lo}"]),
+        # the run's grid ends at edge + (energy_max - edge), which may round above energy_max
+        (("eigen_cutoff", "edge", "energy_max"), lambda cutoff, edge, hi: cutoff is not None
+         and cutoff < edge + (hi - edge) and [
+             f"eigen_cutoff: must be >= {edge + (hi - edge)!r}, the top of the energy grid, "
+             f"got {cutoff}"])), _SAMPLED),
     "ids-diff": Schema({
         "half_widths": Field("ints", lo=1), "reference_half_width": _int(1, None),
         "theta_resolution": _int(1, 8), **_PLATEAU,
     }, (), _int(2)),
-    "hs-check": Schema({
-        "matrix_dim": _int(2, 20), "matrices": _int(1, 25), "order": _int(1, 4),
-        "x_points": _int(8, 128), "y_panels": _int(1, 18), "y_subnodes": _int(1, 6),
-        "eps_y": _num(0.0, 0.0), "scheme": Field(("midpoint", "gauss"), default="gauss"),
-        "refine": Field("bool", default=True), **_PLATEAU,
-    }, ((("eps_y", "order"), lambda eps_y, order: eps_y == 0.0 and order < 2 and [
-        "order: must be >= 2 when eps_y = 0"]),)),
+    "hs-check": Schema({  # the order-4 extension needs a C^5 plateau: order >= 4
+        "matrix_dim": _int(2, 20), "matrices": _int(1, 25), **_PLATEAU,
+        "plateau_order": _int(4, 4),
+    }),
     "ct-decay": Schema({
         "cells": _int(3), "z_real": _num(), "z_imag": _num(default=0.0),
         "max_distance": _int(1), "realization": _int(0, None),

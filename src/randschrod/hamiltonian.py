@@ -400,7 +400,6 @@ class AssembledHamiltonian:
     matrix: scipy.sparse.csr_matrix
     grid: GridSpec
     bc: BoundaryCondition
-    label: str = "h0"
 
     @property
     def n(self) -> int:
@@ -500,13 +499,10 @@ class AssembledHamiltonian:
             rows[start : start + chunk] = np.linalg.eigvalsh(stack)
         return rows
 
-    def with_matrix(self, matrix: scipy.sparse.csr_matrix, label: str) -> "AssembledHamiltonian":
-        return AssembledHamiltonian(matrix, self.grid, self.bc, label)
-
-    def with_potential(self, v: np.ndarray, label: str) -> "AssembledHamiltonian":
+    def with_potential(self, v: np.ndarray) -> "AssembledHamiltonian":
         """This operator plus the multiplication by ``v`` (one value per grid point)."""
         mat = (self.matrix + scipy.sparse.diags(v.astype(self.matrix.dtype))).tocsr()
-        return self.with_matrix(mat, label)
+        return AssembledHamiltonian(mat, self.grid, self.bc)
 
 
 def count_strictly_below(spectra: np.ndarray, energies: Sequence[float]) -> np.ndarray:
@@ -613,7 +609,7 @@ def assemble_h0(
     lap = _laplacian(grid, bc)
     diag = v0.tile(grid)
     mat = (lap + scipy.sparse.diags(diag.astype(lap.dtype))).tocsr()
-    return AssembledHamiltonian(mat, grid, bc, label="h0")
+    return AssembledHamiltonian(mat, grid, bc)
 
 
 def site_ranges(grid: GridSpec, margin: float) -> list[range]:
@@ -690,7 +686,7 @@ def assemble_anderson(
     if h0.bc.wraps:
         raise ValueError("Anderson box assembly needs Dirichlet boundary conditions")
     v = _site_sum(h0.grid, u, sample.at(site_ranges(h0.grid, u.radius)))
-    return h0.with_potential(v, label="anderson")
+    return h0.with_potential(v)
 
 
 def folded_potential(
@@ -720,4 +716,4 @@ def assemble_periodic_approx(
     """
     if not h0.bc.wraps:
         raise ValueError("periodic approximation needs Periodic or Theta boundary conditions")
-    return h0.with_potential(folded_potential(h0.grid, u, sample), label="periodic-approx")
+    return h0.with_potential(folded_potential(h0.grid, u, sample))

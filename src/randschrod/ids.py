@@ -23,13 +23,11 @@ from .model import AndersonModel
 
 __all__ = [
     "IdsCurve",
-    "DisorderAverage",
     "LifshitzFit",
     "DecayRow",
     "DecayTable",
     "ids_dirichlet_box",
     "ids_periodic_approx",
-    "average_ids",
     "mean_stderr",
     "ids_difference_experiment",
     "lifshitz_fit",
@@ -57,16 +55,6 @@ class IdsCurve:
             raise ValueError("energies must be sorted ascending")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-@dataclass(frozen=True)
-class DisorderAverage:
-    """Pointwise mean and standard error of IDS curves over realizations."""
-
-    energies: np.ndarray
-    mean: np.ndarray
-    stderr: np.ndarray
-    realizations: int
 
 
 def ids_dirichlet_box(
@@ -120,7 +108,10 @@ def mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
     """Mean over axis 0 and its standard error, sample std / sqrt(n) (0 for n = 1).
 
     A 2-d reduction over axis 0 adds in another order than a 1-d one, so
-    callers reduce each scalar quantity as its own 1-d array.
+    the shape of ``samples`` fixes the rounding of a payload: the ``ids``
+    and ``lifshitz`` runs reduce their whole (realizations x energies)
+    array in one call, and every other caller reduces each scalar quantity
+    as its own 1-d array.
     """
     x = np.asarray(samples, dtype=float)
     if len(x) < 1:
@@ -129,18 +120,6 @@ def mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
     if len(x) == 1:
         return mean, np.zeros_like(mean)
     return mean, x.std(axis=0, ddof=1) / math.sqrt(len(x))
-
-
-def average_ids(curves: Sequence[IdsCurve]) -> DisorderAverage:
-    """Pointwise mean and standard error over a family of curves."""
-    if not curves:
-        raise ValueError("need at least one curve")
-    grid = curves[0].energies
-    for c in curves[1:]:
-        if len(c.energies) != len(grid) or not np.allclose(c.energies, grid, atol=0.0):
-            raise ValueError("curves were sampled on different energy grids")
-    mean, stderr = mean_stderr(np.stack([c.values for c in curves]))
-    return DisorderAverage(grid.copy(), mean, stderr, len(curves))
 
 
 @dataclass(frozen=True)
@@ -261,32 +240,33 @@ class LifshitzFit:
         return abs(self.exponent - self.target) <= (self.target_tolerance or 0.0)
 
 
-def _edge_count(avg: DisorderAverage, edge: float) -> float:
-    """N(edge), which the average must hold as its first energy."""
-    if avg.energies[0] != edge:
-        raise ValueError(f"the average starts at {avg.energies[0]}, not at the edge {edge}")
-    return float(avg.mean[0])
+def _edge_count(energies: np.ndarray, mean: np.ndarray, edge: float) -> float:
+    """N(edge), which the average must hold at its first energy."""
+    if energies[0] != edge:
+        raise ValueError(f"the average starts at {energies[0]}, not at the edge {edge}")
+    return float(mean[0])
 
 
 def mass_window(
-    avg: DisorderAverage,
+    energies: np.ndarray,
+    mean: np.ndarray,
     edge: float,
     mass_low: float = 1e-4,
     mass_high: float = 1e-1,
 ) -> tuple[float, float]:
-    """Energy window where the IDS mass N(E) - N(edge) lies in [lo, hi];
-    the average starts at the edge."""
-    base = _edge_count(avg, edge)
-    mass = avg.mean - base
-    ok = (mass >= mass_low) & (mass <= mass_high) & (avg.energies > edge)
+    """Energy window where the IDS mass N(E) - N(edge) of the averaged IDS
+    ``mean`` lies in [lo, hi]; the grid ``energies`` starts at the edge."""
+    mass = mean - _edge_count(energies, mean, edge)
+    ok = (mass >= mass_low) & (mass <= mass_high) & (energies > edge)
     if not np.any(ok):
         raise NumericalFailure("no energies carry IDS mass inside the requested band")
-    es = avg.energies[ok]
+    es = energies[ok]
     return float(es[0]), float(es[-1])
 
 
 def lifshitz_fit(
-    avg: DisorderAverage,
+    energies: np.ndarray,
+    mean: np.ndarray,
     edge: float,
     window: tuple[float, float],
     min_points: int = 4,
@@ -297,16 +277,16 @@ def lifshitz_fit(
 
     Lifshitz behaviour N(E) - N(edge) ~ exp(-c (E-edge)^{-d/2}) makes
     log|log(.)| affine in log(E-edge) with slope -d/2; the slope is the
-    fitted exponent.  The average starts at the edge, where it holds
-    N(edge).  Points with mass <= 0 or >= 1/2 are refused.
+    fitted exponent.  The grid ``energies`` starts at the edge, where
+    ``mean`` holds N(edge).  Points with mass <= 0 or >= 1/2 are refused.
     """
     lo, hi = window
     if not lo < hi:
         raise NumericalFailure("empty fit window")
-    base = _edge_count(avg, edge)
-    sel = (avg.energies >= lo) & (avg.energies <= hi) & (avg.energies > edge)
-    energies = avg.energies[sel]
-    mass = avg.mean[sel] - base
+    base = _edge_count(energies, mean, edge)
+    sel = (energies >= lo) & (energies <= hi) & (energies > edge)
+    mass = mean[sel] - base
+    energies = energies[sel]
     if np.any(mass <= 0.0):
         raise NumericalFailure("IDS mass must be strictly positive inside the fit window")
     if np.any(mass >= 0.5):

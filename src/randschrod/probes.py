@@ -183,7 +183,6 @@ def gap_probability(
     alpha: float,
     realizations: int,
     theta0: tuple[float, ...] | None = None,
-    check_edge: bool = True,
     map_fn: Callable | None = None,
 ) -> GapProbabilityEstimate:
     """P{an eigenvalue of the wrapped side-l box falls in [0, l^-alpha)}.
@@ -198,12 +197,9 @@ def gap_probability(
         raise ValueError(f"alpha must lie in ]0,1[, got {alpha}")
     if side < 3 or side % 2 == 0:
         raise ValueError(f"side must be odd and >= 3, got {side}")
-    if check_edge:
-        edge = model.band_minimum()
-        if abs(edge) > _EDGE_TOLERANCE:
-            raise ValueError(
-                f"lowest band sits at {edge:.3e}, not 0; shift the model first"
-            )
+    edge = model.band_minimum()
+    if abs(edge) > _EDGE_TOLERANCE:
+        raise ValueError(f"lowest band sits at {edge:.3e}, not 0; shift the model first")
     if theta0 is None:
         boundary = "periodic"
     else:

@@ -286,15 +286,13 @@ class TestResolve:
         config["execution"]["threads"] = 2
         assert resolve_config(config)["execution"]["threads"] == 2
 
-    def test_hs_check_scheme_defaults_to_gauss(self):
+    def test_hs_check_resolves_to_four_settable_values(self):
         config = _ids_config()
         config["experiment"] = {"kind": "hs-check", "plateau_energy": 0.3}
         del config["execution"]["realizations"]
         exp = resolve_config(config)["experiment"]
-        assert exp["scheme"] == "gauss"
-        assert exp["refine"] is True
-        assert exp["eps_y"] == 0.0
-        assert exp["plateau_order"] == 4
+        assert exp == {"kind": "hs-check", "matrix_dim": 20, "matrices": 25,
+                       "plateau_energy": 0.3, "plateau_order": 4}
 
     def test_difference_reference_defaults_to_four_times_largest(self):
         config = _ids_config()
@@ -459,8 +457,13 @@ class TestCli:
           "xi": 2.0}, "experiment.theta0[0]: must lie in [-pi/5, pi/5], got 0.7"),
         ({"kind": "m-regularity", "side": 25, "energy": -1.0, "mass": 0.2,
           "eps_probes": []}, "experiment.eps_probes: must not be empty"),
+        ({**_hs_check_config()["experiment"], "plateau_order": 3},
+         "experiment.plateau_order: must be >= 4, got 3"),
+        ({**_hs_check_config()["experiment"], "eps_y": 1e6},
+         "experiment.eps_y: unknown key"),
     ], ids=["num_bands", "gap-prob-theta0", "gap-prob-theta0-components",
-            "theta-bounds-theta0", "eps_probes"])
+            "theta-bounds-theta0", "eps_probes", "hs-check-plateau-order",
+            "hs-check-quadrature-knob"])
     def test_validate_only_refuses_what_the_run_would_refuse(self, tmp_path, capsys,
                                                              experiment, message):
         config = _ids_config()
@@ -473,39 +476,52 @@ class TestCli:
         ({"kind": "ct-decay", "cells": 5, "z_real": -1.0, "max_distance": 2},
          {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
                           "decay_rate": 800}},
-         {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
-                          "decay_rate": 709.7, "tail_floor": 0.95}},
+         {"model": {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
+                                    "decay_rate": 709.7, "tail_floor": 0.95}}},
          "model.single_site.decay_rate: must keep strength * exp(decay_rate * "
          "diameter / 2) below the largest float, got 800"),
         ({"kind": "gap-prob", "sides": [5], "alpha": 0.5},
          {"v0": {"kind": "cosine", "amplitude": 1.0}},
-         {"align_edge": True},
+         {"model": {"align_edge": True}},
          "experiment.kind: gap-prob needs model.align_edge: true to put the lowest "
          "band at 0, as model.v0.kind is cosine"),
         ({**_lifshitz_config()["experiment"], "cells": 2001},
-         {"points_per_cell": 10}, {"points_per_cell": 1},
+         {"points_per_cell": 10}, {"model": {"points_per_cell": 1}},
          "experiment.cells: a box of 2001 cells per axis: 20010 grid points exceed the "
          "solver budget (20000)"),
         ({key: v for key, v in _ids_diff_config()["experiment"].items()
           if key != "reference_half_width"},
-         {"points_per_cell": 1200}, {"points_per_cell": 2},
+         {"points_per_cell": 1200}, {"model": {"points_per_cell": 2}},
          "experiment.reference_half_width: a box of 17 cells per axis: 20400 grid points "
          "exceed the solver budget (20000)"),
         ({"kind": "ids", "method": "dirichlet", "cells": 5, "energy_min": 0.0,
           "energy_max": 4.2, "energy_points": 11},
          {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
                           "decay_rate": 1e-308}},
-         {"single_site": {"kind": "exponential", "strength": 1.0, "diameter": 2.0,
-                          "decay_rate": 7}},
+         {"model": {"single_site": {"kind": "exponential", "strength": 1.0,
+                                    "diameter": 2.0, "decay_rate": 7}}},
          "model.single_site.tail_floor: must keep the bump's truncation radius finite and "
          "at most 10000 cells, the side of the largest box the solver budget admits, got inf"),
         (_hs_check_config()["experiment"], {"points_per_cell": 20001, "align_edge": True},
-         {"align_edge": False},
+         {"model": {"align_edge": False}},
          "model.align_edge: the one-cell box of the band-minimum scan: 20001 grid points "
          "exceed the solver budget (20000)"),
+        ({**_lifshitz_config()["experiment"], "mass_low": 0.3, "mass_high": 0.2}, {},
+         {"experiment": {"mass_low": 0.01, "mass_high": 0.4}},
+         "experiment.mass_low: must be below mass_high 0.2, got 0.3"),
+        ({**_lifshitz_config()["experiment"], "energy_max": 1.6, "eigen_cutoff": 1.0}, {},
+         {"experiment": {"eigen_cutoff": 1.6}},
+         "experiment.eigen_cutoff: must be >= 1.6, the top of the energy grid, got 1.0"),
+        # the grid ends at edge + (energy_max - edge), one ulp above 0.9 here
+        ({**_lifshitz_config()["experiment"], "edge": 0.3, "energy_min": 0.35,
+          "energy_max": 0.9, "eigen_cutoff": 0.9}, {},
+         {"experiment": {"eigen_cutoff": 0.9000000000000001}},
+         "experiment.eigen_cutoff: must be >= 0.9000000000000001, the top of the energy "
+         "grid, got 0.9"),
     ], ids=["exponential-peak-overflow", "gap-prob-unaligned-edge", "box-over-budget",
             "derived-reference-over-budget", "exponential-reach-overflow",
-            "align-edge-cell-over-budget"])
+            "align-edge-cell-over-budget", "lifshitz-mass-band", "lifshitz-eigen-cutoff",
+            "lifshitz-eigen-cutoff-at-rounded-top"])
     def test_validate_only_refuses_a_model_the_run_cannot_use(
         self, tmp_path, capsys, experiment, model, fix, message
     ):
@@ -515,7 +531,8 @@ class TestCli:
         path = _write(tmp_path, config)
         assert main([experiment["kind"], "--config", path, "--validate-only"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
-        config["model"].update(fix)
+        for block, values in fix.items():
+            config[block].update(values)
         path = _write(tmp_path, config)
         assert main([experiment["kind"], "--config", path, "--out", str(tmp_path)]) == 0
 

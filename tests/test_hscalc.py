@@ -388,7 +388,7 @@ class TestHsCheckErrors:
         config = load_config(str(Path(__file__).resolve().parent.parent
                                  / "configs" / "hs_check.yaml"))
         config["execution"]["threads"] = 1
-        assert config["experiment"]["matrices"] == 25 and config["experiment"]["refine"]
+        assert config["experiment"]["matrices"] == 25
         calls = []
         dbar = AlmostAnalyticExtension.dbar
 

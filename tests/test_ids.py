@@ -13,9 +13,7 @@ from hypothesis.extra import numpy as hnp
 from randschrod import (
     AndersonModel,
     BoundaryCondition,
-    DisorderAverage,
     IdsCurve,
-    average_ids,
     brillouin_zone,
     ids_difference_experiment,
     ids_dirichlet_box,
@@ -23,11 +21,11 @@ from randschrod import (
     lifshitz_fit,
     mass_window,
 )
-from randschrod.config import load_config
+from randschrod.config import build_model, load_config, resolve_config
 from randschrod.hamiltonian import count_strictly_below
 from randschrod.hscalc import plateau_function
-from randschrod.ids import _functional_dirichlet, _functional_periodic
-from randschrod.runner import run
+from randschrod.ids import _functional_dirichlet, _functional_periodic, mean_stderr
+from randschrod.runner import _dirichlet_curve, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -190,24 +188,14 @@ class TestStieltjesFunctional:
 
 class TestAveraging:
     def test_mean_and_stderr_for_two_curves(self):
-        energies = np.linspace(0, 1, 5)
-        a = IdsCurve(energies=energies, values=np.full(5, 0.2), volume=1)
-        b = IdsCurve(energies=energies, values=np.full(5, 0.4), volume=1)
-        avg = average_ids([a, b])
-        assert np.allclose(avg.mean, 0.3)
+        mean, stderr = mean_stderr([np.full(5, 0.2), np.full(5, 0.4)])
+        assert np.allclose(mean, 0.3)
         # sample std of {0.2, 0.4} is 0.1*sqrt(2); stderr divides by sqrt(2)
-        assert np.allclose(avg.stderr, 0.1)
-        assert avg.realizations == 2
-
-    def test_mismatched_grids_are_rejected(self):
-        a = IdsCurve(energies=np.linspace(0, 1, 5), values=np.zeros(5), volume=1)
-        b = IdsCurve(energies=np.linspace(0, 2, 5), values=np.zeros(5), volume=1)
-        with pytest.raises(ValueError, match="grid"):
-            average_ids([a, b])
+        assert np.allclose(stderr, 0.1)
 
     def test_empty_family_is_rejected(self):
         with pytest.raises(ValueError):
-            average_ids([])
+            mean_stderr([])
 
 
 class TestDifferenceExperiment:
@@ -280,29 +268,28 @@ class TestMassWindow:
     def _avg(self):
         energies = np.linspace(0.0, 1.0, 11)
         mean = np.array([0, 0, 1e-5, 5e-4, 2e-3, 0.02, 0.09, 0.2, 0.3, 0.4, 0.45])
-        return DisorderAverage(energies, mean, np.zeros(11), 4)
+        return energies, mean
 
     def test_window_brackets_the_requested_mass_band(self):
-        lo, hi = mass_window(self._avg(), edge=0.0, mass_low=1e-4, mass_high=0.1)
+        lo, hi = mass_window(*self._avg(), edge=0.0, mass_low=1e-4, mass_high=0.1)
         assert lo == pytest.approx(0.3)   # first energy with mass >= 1e-4
         assert hi == pytest.approx(0.6)   # last energy with mass <= 0.1
 
     def test_empty_band_raises(self):
         with pytest.raises(ValueError, match="mass"):
-            mass_window(self._avg(), edge=0.0, mass_low=0.46, mass_high=0.47)
+            mass_window(*self._avg(), edge=0.0, mass_low=0.46, mass_high=0.47)
 
 
 class TestLifshitzFit:
     def _average_from(self, f, energies):
         # the average starts at the edge, where N(0) = 0
         grid = np.concatenate([[0.0], energies])
-        mean = np.concatenate([[0.0], f(energies)])
-        return DisorderAverage(grid, mean, np.zeros_like(mean), 2)
+        return grid, np.concatenate([[0.0], f(energies)])
 
     def test_pure_lifshitz_tail_recovers_minus_half(self):
         energies = np.geomspace(1e-3, 1e-1, 30)
         avg = self._average_from(lambda e: np.exp(-e ** -0.5), energies)
-        fit = lifshitz_fit(avg, edge=0.0, window=(1e-3, 1e-1),
+        fit = lifshitz_fit(*avg, edge=0.0, window=(1e-3, 1e-1),
                            target=-0.5, target_tolerance=0.05)
         assert fit.exponent == pytest.approx(-0.5, abs=1e-9)
         assert fit.residual_rms < 1e-9
@@ -313,7 +300,7 @@ class TestLifshitzFit:
         # the exponential tail's -1/2
         energies = np.geomspace(1e-3, 1e-2, 20)
         avg = self._average_from(lambda e: e.copy(), energies)
-        fit = lifshitz_fit(avg, edge=0.0, window=(1e-3, 1e-2),
+        fit = lifshitz_fit(*avg, edge=0.0, window=(1e-3, 1e-2),
                            target=-0.5, target_tolerance=0.15)
         assert fit.exponent > -0.3
         assert fit.matches_target is False
@@ -321,32 +308,31 @@ class TestLifshitzFit:
     def test_no_target_leaves_the_verdict_open(self):
         energies = np.geomspace(1e-3, 1e-1, 10)
         avg = self._average_from(lambda e: np.exp(-e ** -0.5), energies)
-        fit = lifshitz_fit(avg, edge=0.0, window=(1e-3, 1e-1))
+        fit = lifshitz_fit(*avg, edge=0.0, window=(1e-3, 1e-1))
         assert fit.matches_target is None
 
     def test_too_few_points_raise(self):
         energies = np.geomspace(1e-3, 1e-1, 10)
         avg = self._average_from(lambda e: np.exp(-e ** -0.5), energies)
         with pytest.raises(ValueError, match="need >= 4"):
-            lifshitz_fit(avg, edge=0.0, window=(1e-3, 2e-3))
+            lifshitz_fit(*avg, edge=0.0, window=(1e-3, 2e-3))
 
     def test_window_reaching_half_mass_is_refused(self):
         energies = np.linspace(0.1, 1.0, 10)
         avg = self._average_from(lambda e: 0.6 * e, energies)
         with pytest.raises(ValueError, match="1/2"):
-            lifshitz_fit(avg, edge=0.0, window=(0.1, 1.0))
+            lifshitz_fit(*avg, edge=0.0, window=(0.1, 1.0))
 
     def test_empty_window_is_refused(self):
         energies = np.geomspace(1e-3, 1e-1, 10)
         avg = self._average_from(lambda e: np.exp(-e ** -0.5), energies)
         with pytest.raises(ValueError, match="window"):
-            lifshitz_fit(avg, edge=0.0, window=(0.1, 0.1))
+            lifshitz_fit(*avg, edge=0.0, window=(0.1, 0.1))
 
     def test_average_must_start_at_the_edge(self):
         energies = np.geomspace(1e-3, 1e-1, 10)
-        avg = DisorderAverage(energies, np.exp(-energies ** -0.5), np.zeros(10), 2)
         with pytest.raises(ValueError, match="not at the edge"):
-            lifshitz_fit(avg, edge=0.0, window=(1e-3, 1e-1))
+            lifshitz_fit(energies, np.exp(-energies ** -0.5), edge=0.0, window=(1e-3, 1e-1))
 
     def test_weak_coupling_chain_measures_mass_from_the_edge_count(self, tmp_path):
         # N(0.05) is about 0.064 here, and N(0) = 0 because a Dirichlet
@@ -363,3 +349,24 @@ class TestLifshitzFit:
         in_band = (mass >= exp["mass_low"]) & (mass <= exp["mass_high"])
         assert fit["window"] == [energies[in_band][0], energies[in_band][-1]]
         assert fit["n_points"] == np.count_nonzero(in_band)
+
+
+def test_lifshitz_ids_csv_reduces_the_whole_realization_array(tmp_path):
+    # one mean_stderr over the (realizations x energies) array adds row by
+    # row; 1-d reductions of each column add pairwise from 8 rows on and
+    # round differently, so the N and stderr columns pin the shape
+    config = load_config(str(CONFIG_DIR / "lifshitz_1d.yaml"))
+    config["experiment"]["cells"] = 200
+    config["execution"].update(realizations=16, threads=1)
+    run_dir = Path(run(config, out_root=str(tmp_path)).directory)
+    table = np.loadtxt(run_dir / "ids.csv", delimiter=",", comments="#", skiprows=4, ndmin=2)
+    resolved = resolve_config(config)
+    model, exp = build_model(resolved), resolved["experiment"]
+    grid = np.concatenate([[exp["edge"]], table[:, 0]])
+    rows = np.array([_dirichlet_curve(model, exp["cells"], grid, exp["eigen_cutoff"], r)
+                     for r in range(16)])
+    mean, stderr = mean_stderr(rows)
+    assert np.array_equal(table[:, 1], mean[1:]) and np.array_equal(table[:, 2], stderr[1:])
+    # at this size the per-column reduction gives other bits, so the test can tell
+    per_column = np.array([mean_stderr(column) for column in rows.T])
+    assert not np.array_equal(per_column, np.stack([mean, stderr], axis=1))
