@@ -9,6 +9,7 @@ for p = 1 the grid coincides with the lattice Z^d.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
     "assemble_h0",
     "assemble_anderson",
     "assemble_periodic_approx",
+    "chains_per_count",
     "count_strictly_below",
     "folded_potential",
     "validate_single_site",
@@ -46,6 +48,14 @@ SOLVER_BUDGET_POINTS = 20_000
 # Largest stack of dense Bloch matrices that ``bloch_spectra`` fills and
 # solves in one call; more quasimomenta are taken in chunks.
 _STACK_BYTES = 4_000_000
+
+# Most bytes that one batched Sturm count of Dirichlet chains may hold
+# (``chains_per_count``); more realizations are counted in chunks.
+_CHAIN_BYTES = 16_000_000
+
+# Sites per block of the Sturm sweep: the pivmin guard is tested once per
+# block, and the sweep holds three (block, chains, energies) arrays.
+_STURM_BLOCK = 128
 
 
 class NumericalFailure(ValueError):
@@ -425,8 +435,11 @@ class AssembledHamiltonian:
         equals the number of eigenvalues strictly below E.  A pivot
         within ``pivmin`` of zero is replaced by +pivmin, so an
         eigenvalue at E is not below E; this is exact whenever the
-        pivots are computed exactly, as on the free chain.  Every other
-        operator is counted from its computed eigenvalues by
+        pivots are computed exactly, as on the free chain.  The count is
+        the batched kernel ``_sturm_count`` on this one chain, the kernel
+        that ``AndersonModel.dirichlet_counts`` runs on a batch of
+        realizations, and it gives the same count here as there.  Every
+        other operator is counted from its computed eigenvalues by
         ``count_strictly_below``.
         """
         energies = np.asarray(energies, dtype=float)
@@ -521,22 +534,70 @@ def count_strictly_below(spectra: np.ndarray, energies: Sequence[float]) -> np.n
 
 
 def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Negative LDL^T pivots of tridiag(off, diag, off) - E, per energy.
+    """Negative LDL^T pivots of tridiag(off, diag, off) - E, per chain and energy.
 
-    pivmin follows LAPACK dstebz, tiny * max(1, max off^2), which keeps
-    off^2 / pivot finite.  Near-zero pivots become +pivmin (dstebz uses
-    -pivmin and so counts eig <= E).
+    ``diag[..., n]`` and ``off[..., n-1]`` hold one chain per index of
+    their leading (batch) axes; the counts have the shape
+    ``diag.shape[:-1] + energies.shape``.  Each chain is counted alone:
+    its pivmin follows LAPACK dstebz, tiny * max(1, max off^2), which keeps
+    off^2 / pivot finite, and a pivot with |pivot| < pivmin becomes +pivmin
+    (dstebz uses -pivmin and so counts eig <= E).
+
+    One Python step per site runs over (batch x energies).  The guard runs
+    once per ``_STURM_BLOCK`` sites, as LAPACK dlaneg does: the block is
+    swept without it, and when any of its pivots is below pivmin or NaN it
+    is swept again from the pivot before it, site by site with the guard.
+    Every pivot is therefore the one the guarded recurrence computes, and
+    so is every count, whatever the batch and block.
     """
+    energies = np.asarray(energies, dtype=float)
+    diag = np.asarray(diag, dtype=float)
+    n, batch = diag.shape[-1], diag.shape[:-1]
     off2 = np.asarray(off, dtype=float) ** 2
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off2, initial=0.0)))
-    count = np.zeros(energies.shape, dtype=np.int64)
-    pivot = np.ones(energies.shape)
-    coupling = np.concatenate([[0.0], off2])
-    for a, b2 in zip(diag, coupling):
-        pivot = (a - energies) - b2 / pivot
-        pivot[np.abs(pivot) < pivmin] = pivmin
-        count += pivot < 0.0
-    return count
+    # site axis first, batch flattened: every step works on one (chains, E) plane
+    chains = math.prod(batch)
+    sites = diag.reshape(chains, n).T
+    coupling = np.concatenate([np.zeros((1, chains)), off2.reshape(chains, n - 1).T])[..., None]
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(coupling, axis=0, initial=0.0))
+    plane = (chains,) + energies.shape
+    block = min(_STURM_BLOCK, n)
+    # a - E, off^2 and the pivots of one block; each step reads and writes
+    # whole contiguous planes through views made once per call
+    shifted, couplings, pivots = (np.empty((block,) + plane) for _ in range(3))
+    steps = list(zip(shifted, couplings, pivots))
+    quotient = np.empty(plane)
+    previous = np.ones(plane)
+    count = np.zeros(plane, dtype=np.int64)
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        np.subtract(sites[start : start + size, :, None], energies, out=shifted[:size])
+        np.copyto(couplings[:size], coupling[start : start + size])
+        piv = pivots[:size]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            last = previous
+            for a_k, b2_k, p_k in steps[:size]:
+                np.divide(b2_k, last, out=quotient)
+                np.subtract(a_k, quotient, out=p_k)
+                last = p_k
+        if not (np.abs(piv) >= pivmin).all():
+            last = previous
+            for a_k, b2_k, p_k in steps[:size]:
+                np.divide(b2_k, last, out=quotient)
+                np.subtract(a_k, quotient, out=p_k)
+                np.copyto(p_k, pivmin, where=np.abs(p_k) < pivmin)
+                last = p_k
+        count += np.count_nonzero(piv < 0.0, axis=0)
+        previous = piv[-1].copy()
+    return count.reshape(batch + energies.shape)
+
+
+def chains_per_count(sites: int, energies: int) -> int:
+    """Most chains of ``sites`` sites that one ``_sturm_count`` at ``energies``
+    energies counts within ``_CHAIN_BYTES``: each chain holds its diagonal,
+    potential and squared couplings, and three (block, energies) planes of
+    the sweep."""
+    per_chain = 8 * (3 * sites + 3 * min(_STURM_BLOCK, sites) * energies)
+    return max(1, _CHAIN_BYTES // per_chain)
 
 
 def _wrap_bonds(grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -620,16 +681,20 @@ def site_ranges(grid: GridSpec, margin: float) -> list[range]:
     ]
 
 
-def _site_sum(grid: GridSpec, u: SingleSitePotential, omega: np.ndarray) -> np.ndarray:
-    """v = sum_k omega_k u(x - k) at every grid point, as a flat array.
+@functools.lru_cache(maxsize=16)
+def _site_sum_plan(
+    grid: GridSpec, u: SingleSitePotential
+) -> tuple[tuple[float, tuple[slice, ...], tuple[slice, ...]], ...]:
+    """The terms of ``_site_sum`` on ``grid`` for the bump ``u``, in the
+    order they are added: (weight, point slices, site slices) each.
 
-    ``omega`` holds omega_k over the box ``site_ranges(grid, u.radius)``.
     On an axis of L cells and p points per cell, point i sits at the mesh
     offset (s - c) / p from site k, with s = i - p k and c = (p L - 1) / 2,
-    so u is sampled once at the offsets of its support and v is a sum of
-    strided slices of the coupling array, one per offset.  Offsets run in
+    so u is sampled once at the offsets of its support and each term is a
+    strided slice of the coupling array, one per offset.  Offsets run in
     decreasing order, so every point adds its terms in increasing site
-    order.
+    order.  The terms depend only on the grid and the bump, so each process
+    builds them once per pair; callers share them and never mutate them.
     """
     p = grid.points_per_cell
     ranges = site_ranges(grid, u.radius)
@@ -654,15 +719,30 @@ def _site_sum(grid: GridSpec, u: SingleSitePotential, omega: np.ndarray) -> np.n
 
     grids = np.meshgrid(*[offsets for offsets, _ in axes], indexing="ij")
     kernel = u.evaluate(np.stack([g.ravel() for g in grids], axis=-1)).reshape(grids[0].shape)
-    v = np.zeros(grid.shape)
+    terms = []
     for index in itertools.product(*[range(len(offsets) - 1, -1, -1) for offsets, _ in axes]):
         weight = kernel[index]
         pairs = [slices[j] for (_, slices), j in zip(axes, index)]
         if weight == 0.0 or None in pairs:
             continue
         points, sites = zip(*pairs)
-        v[points] += weight * omega[sites]
-    v = v.ravel()
+        terms.append((weight, points, sites))
+    return tuple(terms)
+
+
+def _site_sum(grid: GridSpec, u: SingleSitePotential, omega: np.ndarray) -> np.ndarray:
+    """v = sum_k omega_k u(x - k) at every grid point, flat per realization.
+
+    ``omega`` holds omega_k over the box ``site_ranges(grid, u.radius)``,
+    after any leading batch axes, which v keeps: one row per realization.
+    Each row adds the terms of ``_site_sum_plan`` in its order, so it has
+    the bits of a call on that realization alone.
+    """
+    batch = omega.shape[: omega.ndim - grid.dimension]
+    v = np.zeros(batch + grid.shape)
+    for weight, points, sites in _site_sum_plan(grid, u):
+        v[(..., *points)] += weight * omega[(..., *sites)]
+    v = v.reshape(batch + (grid.n_points,))
     if np.min(v) < -1e-12:
         raise ValueError(
             f"assembled random potential has negative entries (min {np.min(v):.3e}); "

@@ -63,9 +63,12 @@ def ids_dirichlet_box(
     """Per-volume eigenvalue counting N(E) = |Lambda|^{-1} #{eig < E}.
 
     The counts come from ``h.count_below``: on real tridiagonal chains
-    they are by inertia, and an eigenvalue at E is not below E; on other
-    boxes they come from computed eigenvalues, where a tie within
-    rounding is not decided.
+    they are by inertia, from the batched Sturm kernel on this one chain,
+    and an eigenvalue at E is not below E; on other boxes they come from
+    computed eigenvalues, where a tie within rounding is not decided.  The
+    ``lifshitz`` and Dirichlet ``ids`` runs count a chunk of realizations
+    at a time through ``AndersonModel.dirichlet_counts``, whose row for a
+    realization is this curve's counts times the volume, bit for bit.
 
     Set ``upper`` to declare a cutoff; every requested energy must then
     stay at or below it.

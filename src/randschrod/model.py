@@ -29,6 +29,8 @@ from .hamiltonian import (
     count_strictly_below,
     folded_potential,
     site_ranges,
+    _site_sum,
+    _sturm_count,
 )
 
 __all__ = ["AndersonModel", "align_band_edge"]
@@ -123,6 +125,32 @@ class AndersonModel:
         grid = self.grid(cells)
         h0 = _shared_h0(grid, self.v0, bc)
         return assemble_anderson(h0, self.single_site, self.sample_for_box(grid, realization))
+
+    def dirichlet_counts(
+        self, cells: int | Sequence[int], energies: Sequence[float], realizations: Sequence[int]
+    ) -> np.ndarray:
+        """#{eigenvalues < E} of the Dirichlet box at each realization, one row
+        per realization in the given order, one column per E.
+
+        Row i is ``anderson_box(cells, dirichlet, realizations[i]).count_below(energies)``.
+        In 1D every box is a real chain: its diagonal is the diagonal of the
+        box's H0 (assembled once per process) plus the site sum of its
+        couplings, drawn by ``sample_for_box``, and it shares H0's
+        off-diagonal; all the chains are counted by one batched Sturm sweep,
+        whose counts do not depend on the batch.  Other dimensions count
+        each assembled box.
+        """
+        energies = np.asarray(energies, dtype=float)
+        bc = BoundaryCondition.dirichlet()
+        if self.dimension != 1:
+            rows = [self.anderson_box(cells, bc, r).count_below(energies) for r in realizations]
+            return np.reshape(rows, (len(rows),) + energies.shape)
+        grid = self.grid(cells)
+        ranges = site_ranges(grid, self.single_site.radius)
+        omega = np.stack([self.sample_for_box(grid, r).at(ranges) for r in realizations])
+        diag, off = _shared_h0(grid, self.v0, bc)._tridiagonal()
+        chains = diag + _site_sum(grid, self.single_site, omega)
+        return _sturm_count(chains, np.broadcast_to(off, (len(chains),) + off.shape), energies)
 
     def periodic_box(
         self,

@@ -30,10 +30,9 @@ from .bands import (
     write_band_csv,
 )
 from .config import build_model, config_hash, resolve_config
-from .hamiltonian import BoundaryCondition
+from .hamiltonian import BoundaryCondition, chains_per_count
 from .hscalc import QuadratureSpec, hs_transform, plateau_function
 from .ids import (
-    ids_dirichlet_box,
     ids_difference_experiment,
     ids_periodic_approx,
     lifshitz_fit,
@@ -164,9 +163,22 @@ def _brillouin_curve(model, half_width, energies, theta_resolution, realization)
     ).values
 
 
-def _dirichlet_curve(model, cells, energies, upper, realization) -> np.ndarray:
-    h = model.anderson_box(cells, BoundaryCondition.dirichlet(), realization)
-    return ids_dirichlet_box(h, energies, upper=upper).values
+def _dirichlet_rows(model, cells, energies, realizations) -> np.ndarray:
+    """Per-volume counts N(E) of the Dirichlet box, one row per realization."""
+    return model.dirichlet_counts(cells, energies, realizations) / model.grid(cells).volume
+
+
+def _dirichlet_ids(model, cells, energies, realizations, threads, mapper) -> np.ndarray:
+    """The (realizations x energies) array of ``_dirichlet_rows``, mapped over
+    chunks of realizations: at least one chunk per thread, each within
+    ``chains_per_count``.  Rows are exact counts over the volume, so the
+    array has the same bytes however it is chunked."""
+    size = chains_per_count(model.grid(cells).n_points, len(energies))
+    parts = min(realizations, max(threads, -(-realizations // size)))
+    bounds = [realizations * i // parts for i in range(parts + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    worker = partial(_dirichlet_rows, model, cells, energies)
+    return np.concatenate(mapper(worker, chunks))
 
 
 def _hs_error(matrix_dim, f, transforms, master_seed, index) -> tuple[float, ...]:
@@ -219,9 +231,10 @@ def _run_ids(model, exp, execution, sink, mapper):
         worker = partial(
             _brillouin_curve, model, exp["half_width"], energies, exp["theta_resolution"]
         )
+        rows = mapper(worker, range(m))
     else:
-        worker = partial(_dirichlet_curve, model, exp["cells"], energies, None)
-    mean, stderr = mean_stderr(mapper(worker, range(m)))
+        rows = _dirichlet_ids(model, exp["cells"], energies, m, execution["threads"], mapper)
+    mean, stderr = mean_stderr(rows)
     write_ids_csv(energies, mean, stderr, sink.path("ids.csv"), metadata=sink.metadata)
     sink.register("ids.csv")
     sink.write_json(
@@ -245,8 +258,8 @@ def _run_lifshitz(model, exp, execution, sink, mapper):
     m = execution["realizations"]
     # the edge is counted too, so the tail mass is measured from N(edge)
     grid = np.concatenate([[edge], energies])
-    worker = partial(_dirichlet_curve, model, exp["cells"], grid, exp["eigen_cutoff"])
-    mean, stderr = mean_stderr(mapper(worker, range(m)))
+    rows = _dirichlet_ids(model, exp["cells"], grid, m, execution["threads"], mapper)
+    mean, stderr = mean_stderr(rows)
     write_ids_csv(energies, mean[1:], stderr[1:], sink.path("ids.csv"), metadata=sink.metadata)
     sink.register("ids.csv")
 

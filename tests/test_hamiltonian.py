@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -99,6 +100,126 @@ class TestInertiaCounting:
         energies = energies[gap > 1e-9 * max(1.0, np.max(np.abs(evals)))]
         expected = np.searchsorted(evals, energies, side="left")
         assert np.array_equal(h.count_below(energies), expected)
+
+
+def _reference_sturm(diag, off, energies):
+    """The guarded Sturm recurrence on one chain, one site at a time: the
+    loop the batched kernel must reproduce bit for bit."""
+    off2 = np.asarray(off, dtype=float) ** 2
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off2, initial=0.0)))
+    count = np.zeros(energies.shape, dtype=np.int64)
+    pivot = np.ones(energies.shape)
+    for a, b2 in zip(diag, np.concatenate([[0.0], off2])):
+        pivot = (a - energies) - b2 / pivot
+        pivot[np.abs(pivot) < pivmin] = pivmin
+        count += pivot < 0.0
+    return count
+
+
+def _dense_counts(diag, off, energies):
+    """(#{eig < E} of the dense chain, mask of energies clear of its eigenvalues)."""
+    evals = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    gap = np.min(np.abs(energies[:, None] - evals[None, :]), axis=1)
+    clear = gap > 1e-9 * max(1.0, np.max(np.abs(evals)))
+    return np.searchsorted(evals, energies, side="left"), clear
+
+
+class TestBatchedSturm:
+    """``_sturm_count`` over a batch of chains, against the site-by-site
+    recurrence and dense eigenvalues."""
+
+    @given(
+        n=st.integers(1, 60),
+        block=st.integers(1, 9),
+        integral=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_each_chain_and_the_dense_count(self, n, block, integral, seed):
+        # integer chains at integer energies hit exact zero pivots and
+        # decoupled bonds; blocks of 1..9 sites put them on every block edge
+        rng = np.random.default_rng(seed)
+        if integral:
+            diag = rng.integers(-2, 3, (3, 2, n)).astype(float)
+            off = rng.choice([-1.0, 0.0, 1.0], (3, 2, n - 1))
+            energies = np.arange(-4.0, 5.0)
+        else:
+            diag = rng.uniform(-3.0, 3.0, (3, 2, n))
+            off = rng.uniform(-2.0, 2.0, (3, 2, n - 1))
+            energies = np.sort(rng.uniform(-6.0, 6.0, 13))
+        with unittest.mock.patch.object(hamiltonian, "_STURM_BLOCK", block):
+            counts = hamiltonian._sturm_count(diag, off, energies)
+        assert counts.shape == (3, 2, len(energies))
+        for index in np.ndindex(3, 2):
+            expected = _reference_sturm(diag[index], off[index], energies)
+            assert np.array_equal(counts[index], expected)
+            dense, clear = _dense_counts(diag[index], off[index], energies)
+            assert np.array_equal(counts[index][clear], dense[clear])
+
+    def test_free_chain_mid_batch_counts_its_exact_eigenvalue_at_two_as_not_below(self):
+        # the free 2001-chain has the eigenvalue 2 exactly (k = 1001); its
+        # sweep meets an exact zero pivot, the random chains around it do not
+        n = 2001
+        rng = np.random.default_rng(7)
+        diag = 2.0 + 0.25 * rng.random((5, n))
+        diag[2] = 2.0
+        off = np.full((5, n - 1), -1.0)
+        energies = np.array([0.05, 1.0, 2.0, 3.5])
+        counts = hamiltonian._sturm_count(diag, off, energies)
+        assert counts[2, 2] == 1000
+        for chain in range(5):
+            assert np.array_equal(counts[chain], _reference_sturm(diag[chain], off[chain], energies))
+
+    @pytest.mark.parametrize("site", [127, 128])
+    def test_zero_pivot_on_a_block_edge(self, site):
+        # tridiag(-1, 2, -1) with a 1 on site 0 has every pivot 1 at E = 0,
+        # exactly; a 1 at ``site`` makes that pivot exactly 0, on the last
+        # site of the first block or on the first site of the next
+        n = 3 * hamiltonian._STURM_BLOCK
+        assert site in (hamiltonian._STURM_BLOCK - 1, hamiltonian._STURM_BLOCK)
+        diag = np.full(n, 2.0)
+        diag[[0, site]] = 1.0
+        off = np.full(n - 1, -1.0)
+        energies = np.array([-0.5, 0.0, 0.25, 1.1, 3.3])
+        counts = hamiltonian._sturm_count(diag, off, energies)
+        assert np.array_equal(counts, _reference_sturm(diag, off, energies))
+        dense, clear = _dense_counts(diag, off, energies)
+        assert clear[:2].all() and np.array_equal(counts[clear], dense[clear])
+
+    def test_pivot_within_pivmin_of_zero_counts_as_plus_pivmin(self):
+        # couplings of 1e5 make pivmin about 2.2e-298.  Site 0 is cut off
+        # and holds -1e-300: the pivot is not zero, but the guard makes it
+        # +pivmin, so the eigenvalue -1e-300 counts as a tie at E = 0
+        n = 2 * hamiltonian._STURM_BLOCK + 5
+        diag = np.linspace(1e5, 3e5, n)
+        diag[0] = -1e-300
+        off = np.full(n - 1, 1e5)
+        off[0] = 0.0
+        energies = np.array([0.0, 1e5])
+        counts = hamiltonian._sturm_count(diag[None], off[None], energies)
+        assert np.array_equal(counts[0], _reference_sturm(diag, off, energies))
+        rest = _reference_sturm(diag[1:], off[1:], energies)
+        assert counts[0, 0] == rest[0]
+
+    def test_decoupled_chain_redoes_the_block_of_its_zero_over_zero(self):
+        # sites 0..60 form the path Laplacian, whose pivots are exactly 1 and
+        # whose last is 0 (the eigenvalue 0); bond 60-61 is cut, so the next
+        # unguarded step is 0/0 = NaN inside the same block.  Unless the
+        # block is redone, every later pivot is NaN and the free chain on
+        # sites 61.. loses its eigenvalues below E.
+        n = 200
+        diag = np.full(n, 2.0)
+        diag[[0, 60]] = 1.0
+        off = np.full(n - 1, -1.0)
+        off[60] = 0.0
+        energies = np.array([0.0, 0.5, 1.0, 2.5])
+        with np.errstate(all="raise"):
+            counts = hamiltonian._sturm_count(diag, off, energies)
+        assert counts[0] == 0  # the eigenvalue 0 is not below 0
+        assert np.array_equal(counts, _reference_sturm(diag, off, energies))
+        dense, clear = _dense_counts(diag, off, energies)
+        assert np.array_equal(counts[clear], dense[clear]) and clear[1:].all()
+        assert counts[-1] > counts[1] > 0
 
 
 class TestRandomPotential:

@@ -25,7 +25,8 @@ from randschrod.config import build_model, load_config, resolve_config
 from randschrod.hamiltonian import count_strictly_below
 from randschrod.hscalc import plateau_function
 from randschrod.ids import _functional_dirichlet, _functional_periodic, mean_stderr
-from randschrod.runner import _dirichlet_curve, run
+from randschrod import hamiltonian, runner
+from randschrod.runner import run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -363,10 +364,76 @@ def test_lifshitz_ids_csv_reduces_the_whole_realization_array(tmp_path):
     resolved = resolve_config(config)
     model, exp = build_model(resolved), resolved["experiment"]
     grid = np.concatenate([[exp["edge"]], table[:, 0]])
-    rows = np.array([_dirichlet_curve(model, exp["cells"], grid, exp["eigen_cutoff"], r)
+    dirichlet = BoundaryCondition.dirichlet()
+    rows = np.array([ids_dirichlet_box(model.anderson_box(exp["cells"], dirichlet, r), grid).values
                      for r in range(16)])
     mean, stderr = mean_stderr(rows)
     assert np.array_equal(table[:, 1], mean[1:]) and np.array_equal(table[:, 2], stderr[1:])
     # at this size the per-column reduction gives other bits, so the test can tell
     per_column = np.array([mean_stderr(column) for column in rows.T])
     assert not np.array_equal(per_column, np.stack([mean, stderr], axis=1))
+
+
+def _dirichlet_config(kind, points_per_cell):
+    """A small lifshitz or Dirichlet ids config and the energy grid its run counts at."""
+    if kind == "lifshitz":
+        config = load_config(str(CONFIG_DIR / "lifshitz_1d.yaml"))
+        config["experiment"]["cells"] = 40
+    else:
+        config = load_config(str(CONFIG_DIR / "ids_brillouin_1d.yaml"))
+        exp = config["experiment"]
+        del exp["half_width"], exp["theta_resolution"]
+        exp.update(method="dirichlet", cells=30, energy_points=41)
+    config["model"]["points_per_cell"] = points_per_cell
+    config["execution"].update(realizations=5, threads=1)
+    exp = resolve_config(config)["experiment"]
+    if kind == "lifshitz":
+        edge = exp["edge"]
+        energies = edge + np.geomspace(exp["energy_min"] - edge, exp["energy_max"] - edge,
+                                       exp["energy_points"])
+        energies = np.concatenate([[edge], energies])
+    else:
+        energies = np.linspace(exp["energy_min"], exp["energy_max"], exp["energy_points"])
+    return config, energies
+
+
+class TestChunkedDirichletRows:
+    """The runs count Dirichlet chains in batches; each row must be the count
+    of its own assembled box."""
+
+    @pytest.mark.parametrize("points_per_cell", [1, 2])
+    @pytest.mark.parametrize("kind", ["lifshitz", "ids"])
+    def test_rows_equal_each_box_and_its_dense_count(self, kind, points_per_cell):
+        config, energies = _dirichlet_config(kind, points_per_cell)
+        model, exp = build_model(resolve_config(config)), config["experiment"]
+        # three chunks of 1 or 2 realizations, as three threads would map them
+        rows = runner._dirichlet_ids(model, exp["cells"], energies, 5, 3, runner.parallel_map(1))
+        assert rows.shape == (5, len(energies))
+        for r, row in enumerate(rows):
+            h = model.anderson_box(exp["cells"], BoundaryCondition.dirichlet(), r)
+            assert np.array_equal(row, h.count_below(energies) / h.grid.volume)
+            evals = np.linalg.eigvalsh(h.dense())
+            clear = np.min(np.abs(energies[:, None] - evals), axis=1) > 1e-9 * evals[-1]
+            counts = np.rint(row * h.grid.volume).astype(int)
+            assert np.array_equal(counts[clear], np.searchsorted(evals, energies[clear]))
+
+    @pytest.mark.parametrize("kind", ["lifshitz", "ids"])
+    def test_one_realization_per_chunk_writes_the_same_bytes(
+        self, tmp_path, monkeypatch, kind
+    ):
+        config, _ = _dirichlet_config(kind, 1)
+        calls = []
+        dirichlet_counts = AndersonModel.dirichlet_counts
+
+        def counted(self, cells, energies, realizations):
+            calls.append(len(realizations))
+            return dirichlet_counts(self, cells, energies, realizations)
+
+        monkeypatch.setattr(AndersonModel, "dirichlet_counts", counted)
+        whole = run(config, out_root=str(tmp_path / "whole")).payloads
+        assert calls == [5]
+        monkeypatch.setattr(hamiltonian, "_CHAIN_BYTES", 1)
+        calls.clear()
+        split = run(config, out_root=str(tmp_path / "split")).payloads
+        assert calls == [1] * 5
+        assert split == whole
