@@ -221,7 +221,7 @@ _LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 # Bytes of the dense draws of one hs-check matrix (``runner._hs_error``): two
 # real and one complex matrix_dim x matrix_dim array, 32 bytes per entry.
 _HS_DRAW_BYTES = 64 * 2**20
-_int = partial(Field, "int")  # _int(lo, default)
+_int = partial(Field, "int")  # _int(lo, default, hi)
 _num = partial(Field, "num")  # _num(lo, default, hi, strict)
 _pos = partial(Field, "num", 0.0, strict=True)  # a number > 0; _pos(default)
 
@@ -294,11 +294,9 @@ _KINDS = {
         "theta_resolution": _int(1, 8), **_PLATEAU,
     }, (), _int(2)),
     "hs-check": Schema({  # the order-4 extension needs a C^5 plateau: order >= 4
-        "matrix_dim": _int(2, 20), "matrices": _int(1, 25), **_PLATEAU,
-        "plateau_order": _int(4, 4),
-    }, ((("matrix_dim",), lambda dim: 32 * dim * dim > _HS_DRAW_BYTES and [
-        f"matrix_dim: the dense draws of one matrix take 32 * matrix_dim^2 bytes, "
-        f"at most {_HS_DRAW_BYTES} ({math.isqrt(_HS_DRAW_BYTES // 32)} rows), got {dim}"]),)),
+        "matrix_dim": _int(2, 20, math.isqrt(_HS_DRAW_BYTES // 32)), "matrices": _int(1, 25),
+        **_PLATEAU, "plateau_order": _int(4, 4),
+    }),
     "ct-decay": Schema({
         "cells": _int(3), "z_real": _num(), "z_imag": _num(default=0.0),
         "max_distance": _int(1), "realization": _int(0, None),

@@ -54,7 +54,7 @@ _STACK_BYTES = 4_000_000
 _CHAIN_BYTES = 16_000_000
 
 # Sites per block of the Sturm sweep: the pivmin guard is tested once per
-# block, and the sweep holds three (block, chains, energies) arrays.
+# block, and the sweep holds two (block, chains, energies) arrays.
 _STURM_BLOCK = 128
 
 
@@ -561,29 +561,33 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.
     pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(coupling, axis=0, initial=0.0))
     plane = (chains,) + energies.shape
     block = min(_STURM_BLOCK, n)
-    # a - E, off^2 and the pivots of one block; each step reads and writes
-    # whole contiguous planes through views made once per call
-    shifted, couplings, pivots = (np.empty((block,) + plane) for _ in range(3))
-    steps = list(zip(shifted, couplings, pivots))
-    quotient = np.empty(plane)
+    # a - E and the pivots of one block, each step on whole contiguous
+    # planes through views made once per call.  A pivot's plane holds off^2
+    # until its step divides it by the pivot before and subtracts it from a - E.
+    shifted, pivots = np.empty((block,) + plane), np.empty((block,) + plane)
+    steps = list(zip(shifted, pivots))
     previous = np.ones(plane)
     count = np.zeros(plane, dtype=np.int64)
     for start in range(0, n, block):
         size = min(block, n - start)
-        np.subtract(sites[start : start + size, :, None], energies, out=shifted[:size])
-        np.copyto(couplings[:size], coupling[start : start + size])
+        rows = slice(start, start + size)
+        np.subtract(sites[rows, :, None], energies, out=shifted[:size])
+        np.copyto(pivots[:size], coupling[rows])
         piv = pivots[:size]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             last = previous
-            for a_k, b2_k, p_k in steps[:size]:
-                np.divide(b2_k, last, out=quotient)
-                np.subtract(a_k, quotient, out=p_k)
+            for a_k, p_k in steps[:size]:
+                np.divide(p_k, last, out=p_k)
+                np.subtract(a_k, p_k, out=p_k)
                 last = p_k
-        if not (np.abs(piv) >= pivmin).all():
+        # |pivot| goes into the a - E planes, which a redo fills again
+        if not (np.abs(piv, out=shifted[:size]) >= pivmin).all():
+            np.subtract(sites[rows, :, None], energies, out=shifted[:size])
+            np.copyto(pivots[:size], coupling[rows])
             last = previous
-            for a_k, b2_k, p_k in steps[:size]:
-                np.divide(b2_k, last, out=quotient)
-                np.subtract(a_k, quotient, out=p_k)
+            for a_k, p_k in steps[:size]:
+                np.divide(p_k, last, out=p_k)
+                np.subtract(a_k, p_k, out=p_k)
                 np.copyto(p_k, pivmin, where=np.abs(p_k) < pivmin)
                 last = p_k
         count += np.count_nonzero(piv < 0.0, axis=0)
@@ -594,9 +598,9 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.
 def chains_per_count(sites: int, energies: int) -> int:
     """Most chains of ``sites`` sites that one ``_sturm_count`` at ``energies``
     energies counts within ``_CHAIN_BYTES``: each chain holds its diagonal,
-    potential and squared couplings, and three (block, energies) planes of
+    potential and squared couplings, and two (block, energies) planes of
     the sweep."""
-    per_chain = 8 * (3 * sites + 3 * min(_STURM_BLOCK, sites) * energies)
+    per_chain = 8 * (3 * sites + 2 * min(_STURM_BLOCK, sites) * energies)
     return max(1, _CHAIN_BYTES // per_chain)
 
 

@@ -12,13 +12,14 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
 
 def test_every_bench_file_has_the_schema():
     assert BENCH_FILES, "the BENCH trajectory has no file"
     for path in BENCH_FILES:
         doc = json.loads(path.read_text(encoding="ascii"))
-        assert bench_pairs.check_bench_file(doc) == [], path.name
+        assert bench_pairs.check_bench_file(doc, RUN_SECONDS) == [], path.name
         assert path.name == f"BENCH_{doc['change'][:7]}.json"
         for name, entry in doc["workloads"].items():
             for metric, m in entry["metrics"].items():
@@ -37,8 +38,23 @@ def test_the_schema_check_finds_damage():
     metric = next(iter(entry["metrics"].values()))
     metric["change"]["runs"].pop()
     metric["parent"]["q1"] = metric["parent"]["q3"] + 1.0
-    problems = bench_pairs.check_bench_file(damaged)
+    damaged["settings"].update(pairs=1, seconds=RUN_SECONDS / 2, shipped_runs=3)
+    problems = bench_pairs.check_bench_file(damaged, RUN_SECONDS)
     assert any(p.startswith("machine") for p in problems)
     assert any("failed outside" in p for p in problems)
     assert any("not one run per pair" in p for p in problems)
     assert any("quartiles out of order" in p for p in problems)
+    for key in ("pairs", "seconds", "shipped_runs"):
+        assert any(p.startswith(f"settings.{key}: expected") for p in problems), key
+
+
+def test_a_file_of_fewer_pairs_is_refused():
+    doc = json.loads(BENCH_FILES[0].read_text(encoding="ascii"))
+    for entry in doc["workloads"].values():
+        for m in entry["metrics"].values():
+            m["pairs"] = 1
+            m["change_better"] = min(m["change_better"], 1)
+            for side in bench_pairs.SIDES:
+                m[side] = bench_pairs.summary(m[side]["runs"][:1])
+    problems = bench_pairs.check_bench_file(doc, RUN_SECONDS)
+    assert any(p.endswith(".pairs: expected 10, got 1") for p in problems)

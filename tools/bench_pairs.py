@@ -1,15 +1,16 @@
 """Alternating parent/change pairs of the benchmark, written to BENCH_<short-sha>.json.
 
-    python tools/bench_pairs.py --parent REV [--change REV] [--pairs 10]
-        [--seconds 12] [--seed-base 0] [--workloads a,b] [--shipped-runs 3]
+    python tools/bench_pairs.py --parent REV [--change REV] [--seed-base 0]
+        [--workloads a,b] [--skip-shipped]
 
 Run from a randschrod git checkout.  Both revisions are unpacked with
 ``git archive`` into a work directory, and ``bench/run.py`` of each tree is
-run there exactly as it is, once per side for every pair and workload.
-Odd pairs run the parent first and even pairs the change; pair i uses the
-seed ``seed_base + i`` on both sides.  Then each shipped config under
-``configs/`` runs ``--shipped-runs`` times per side, alternating in the
-same way, at 1 thread, and its ``wall_time_s`` is read from result.json.
+run there exactly as it is, for ``run_seconds`` of BENCHMARK.json, once per
+side for each of 10 pairs and every workload.  Odd pairs run the parent
+first and even pairs the change; pair i uses the seed ``seed_base + i`` on
+both sides.  Then each shipped config under ``configs/`` runs 5 times per
+side, alternating in the same way, at 1 thread, and its ``wall_time_s`` is
+read from result.json; ``--skip-shipped`` leaves these runs out.
 
 The file holds a machine block, the per-workload metrics (median and
 quartiles of each side, pairs where the change was lower, failed and
@@ -34,6 +35,8 @@ from pathlib import Path
 
 SCHEMA = 1
 SIDES = ("parent", "change")
+PAIRS = 10  # alternating pairs per workload
+SHIPPED_RUNS = 5  # runs per side of each shipped config
 GAIN_SHARE = 0.9  # share of pairs the change must win for a gain
 # BLAS pinned as bench/run.py pins it, for the shipped-config runs
 _ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -138,10 +141,10 @@ def run_pairs(trees: dict, spec: dict, args) -> dict:
     workloads = {}
     for workload in args.workloads:
         runs = {side: [] for side in SIDES}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for side in _alternate(i):
                 runs[side].append(bench_once(trees[side], workload, args.seed_base + i,
-                                             args.seconds))
+                                             spec["run_seconds"]))
             print(f"{workload} pair {i}: " + ", ".join(
                 f"{side} {runs[side][-1]['metrics']['wall_s']['value']:.4g} s"
                 for side in SIDES), file=sys.stderr)
@@ -163,13 +166,13 @@ def run_pairs(trees: dict, spec: dict, args) -> dict:
     return workloads
 
 
-def run_shipped(trees: dict, args, work: Path) -> dict:
+def run_shipped(trees: dict, work: Path) -> dict:
     shipped = {}
     configs = sorted((trees["change"] / "configs").glob("*.yaml"))
     for config in configs:
         walls = {side: [] for side in SIDES}
         failed = {side: 0 for side in SIDES}
-        for i in range(args.shipped_runs):
+        for i in range(SHIPPED_RUNS):
             for side in _alternate(i):
                 out_root = work / "shipped" / f"{config.stem}-{side}-{i}"
                 wall, code = shipped_once(trees[side], trees[side] / "configs" / config.name,
@@ -179,8 +182,8 @@ def run_shipped(trees: dict, args, work: Path) -> dict:
                     walls[side].append(wall)
         shipped[config.stem] = {
             side: {**summary(walls[side]), "failed": failed[side],
-                   "attempted": args.shipped_runs} if walls[side] else
-                  {"failed": failed[side], "attempted": args.shipped_runs}
+                   "attempted": SHIPPED_RUNS} if walls[side] else
+                  {"failed": failed[side], "attempted": SHIPPED_RUNS}
             for side in SIDES}
         print(f"{config.stem}: " + ", ".join(
             f"{side} {shipped[config.stem][side].get('median', math.nan):.4g} s"
@@ -224,8 +227,10 @@ def _check_summary(where: str, block, problems: list[str]) -> None:
         problems.append(f"{where}: quartiles out of order")
 
 
-def check_bench_file(doc) -> list[str]:
-    """Every problem with the layout of one BENCH file; empty when it is sound."""
+def check_bench_file(doc, run_seconds: float) -> list[str]:
+    """Every problem with one BENCH file: its layout, and settings other
+    than 10 pairs of ``run_seconds`` runs and 5 or no shipped runs per side.
+    Empty when it is sound."""
     problems: list[str] = []
     if not isinstance(doc, dict):
         return ["root: expected an object"]
@@ -239,6 +244,14 @@ def check_bench_file(doc) -> list[str]:
             isinstance(settings.get(k), (int, float)) for k in
             ("pairs", "seconds", "seed_base", "shipped_runs")):
         problems.append("settings: expected pairs, seconds, seed_base and shipped_runs")
+    else:
+        if settings["pairs"] != PAIRS:
+            problems.append(f"settings.pairs: expected {PAIRS}, got {settings['pairs']}")
+        if settings["seconds"] != run_seconds:
+            problems.append(f"settings.seconds: expected {run_seconds}, got {settings['seconds']}")
+        if settings["shipped_runs"] not in (0, SHIPPED_RUNS):
+            problems.append(f"settings.shipped_runs: expected 0 or {SHIPPED_RUNS}, "
+                            f"got {settings['shipped_runs']}")
     mach = doc.get("machine")
     if not isinstance(mach, dict) or not all(
             k in mach for k in ("cpu", "cpu_count", "python", "numpy", "scipy", "blas")):
@@ -272,6 +285,8 @@ def check_bench_file(doc) -> list[str]:
             pairs, wins = m.get("pairs"), m.get("change_better")
             if not (isinstance(pairs, int) and isinstance(wins, int) and 0 <= wins <= pairs):
                 problems.append(f"{at}: expected 0 <= change_better <= pairs")
+            elif pairs != PAIRS:
+                problems.append(f"{at}.pairs: expected {PAIRS}, got {pairs}")
             elif any(isinstance(m.get(s), dict) and len(m[s].get("runs", ())) != pairs
                      for s in SIDES):
                 problems.append(f"{at}: a side has not one run per pair")
@@ -284,8 +299,8 @@ def check_bench_file(doc) -> list[str]:
     for stem, entry in shipped.items():
         for side in SIDES:
             block = entry.get(side) if isinstance(entry, dict) else None
-            if not isinstance(block, dict) or not isinstance(block.get("attempted"), int):
-                problems.append(f"shipped.{stem}.{side}: expected an attempted count")
+            if not isinstance(block, dict) or block.get("attempted") != SHIPPED_RUNS:
+                problems.append(f"shipped.{stem}.{side}: expected {SHIPPED_RUNS} attempted runs")
             elif "runs" in block:
                 _check_summary(f"shipped.{stem}.{side}", block, problems)
     return problems
@@ -295,20 +310,14 @@ def _parse(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="revision measured as the parent")
     p.add_argument("--change", default="HEAD", help="revision measured as the change")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="bench/run.py --seconds (default: run_seconds of BENCHMARK.json)")
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--workloads", default=None,
                    help="comma-separated workloads (default: all of BENCHMARK.json)")
-    p.add_argument("--shipped-runs", type=int, default=3,
-                   help="runs per side of each shipped config; 0 skips them")
+    p.add_argument("--skip-shipped", action="store_true",
+                   help="run the workload pairs only, not the shipped configs")
     p.add_argument("--work", default=None, help="directory for the unpacked trees")
     p.add_argument("--out", default=None, help="output file (default: BENCH_<sha>.json)")
-    args = p.parse_args(argv)
-    if args.pairs < 1 or args.shipped_runs < 0:
-        p.error("--pairs must be >= 1 and --shipped-runs >= 0")
-    return args
+    return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -320,7 +329,6 @@ def main(argv=None) -> int:
         work = Path(tmp)
         trees = {side: unpack(repo, shas[side], work / side) for side in SIDES}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        args.seconds = spec["run_seconds"] if args.seconds is None else args.seconds
         names = [w["name"] for w in spec["workloads"]]
         args.workloads = names if args.workloads is None else args.workloads.split(",")
         unknown = set(args.workloads) - set(names)
@@ -330,17 +338,18 @@ def main(argv=None) -> int:
         doc = {
             "schema": SCHEMA,
             **shas,
-            "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                         "seed_base": args.seed_base, "shipped_runs": args.shipped_runs,
+            "settings": {"pairs": PAIRS, "seconds": spec["run_seconds"],
+                         "seed_base": args.seed_base,
+                         "shipped_runs": 0 if args.skip_shipped else SHIPPED_RUNS,
                          "order": "odd pairs run the parent first",
                          "gain_rule": f"change better in >= {GAIN_SHARE:.0%} of pairs and "
                                       "the medians apart by more than the parent IQR"},
             "machine": machine(),
             "workloads": run_pairs(trees, spec, args),
-            "shipped": run_shipped(trees, args, work) if args.shipped_runs else {},
+            "shipped": {} if args.skip_shipped else run_shipped(trees, work),
         }
         doc["settings"]["elapsed_s"] = round(time.time() - started, 1)
-    problems = check_bench_file(doc)
+    problems = check_bench_file(doc, spec["run_seconds"])
     if problems:
         raise SystemExit("bench_pairs: malformed output: " + "; ".join(problems))
     out = Path(args.out) if args.out else repo / f"BENCH_{shas['change'][:7]}.json"
