@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, written to BENCH_<short-sha>.json.
 
     python tools/bench_pairs.py --parent REV [--change REV] [--seed-base 0]
-        [--workloads a,b] [--skip-shipped]
+        [--workloads a,b]
 
 Run from a randschrod git checkout.  Both revisions are unpacked with
 ``git archive`` into a work directory, and ``bench/run.py`` of each tree is
@@ -10,7 +10,7 @@ side for each of 10 pairs and every workload.  Odd pairs run the parent
 first and even pairs the change; pair i uses the seed ``seed_base + i`` on
 both sides.  Then each shipped config under ``configs/`` runs 5 times per
 side, alternating in the same way, at 1 thread, and its ``wall_time_s`` is
-read from result.json; ``--skip-shipped`` leaves these runs out.
+read from result.json.
 
 The file holds a machine block, the per-workload metrics (median and
 quartiles of each side, pairs where the change was lower, failed and
@@ -229,7 +229,7 @@ def _check_summary(where: str, block, problems: list[str]) -> None:
 
 def check_bench_file(doc, run_seconds: float) -> list[str]:
     """Every problem with one BENCH file: its layout, and settings other
-    than 10 pairs of ``run_seconds`` runs and 5 or no shipped runs per side.
+    than 10 pairs of ``run_seconds`` runs and 5 shipped runs per side.
     Empty when it is sound."""
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -249,8 +249,8 @@ def check_bench_file(doc, run_seconds: float) -> list[str]:
             problems.append(f"settings.pairs: expected {PAIRS}, got {settings['pairs']}")
         if settings["seconds"] != run_seconds:
             problems.append(f"settings.seconds: expected {run_seconds}, got {settings['seconds']}")
-        if settings["shipped_runs"] not in (0, SHIPPED_RUNS):
-            problems.append(f"settings.shipped_runs: expected 0 or {SHIPPED_RUNS}, "
+        if settings["shipped_runs"] != SHIPPED_RUNS:
+            problems.append(f"settings.shipped_runs: expected {SHIPPED_RUNS}, "
                             f"got {settings['shipped_runs']}")
     mach = doc.get("machine")
     if not isinstance(mach, dict) or not all(
@@ -313,8 +313,6 @@ def _parse(argv):
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--workloads", default=None,
                    help="comma-separated workloads (default: all of BENCHMARK.json)")
-    p.add_argument("--skip-shipped", action="store_true",
-                   help="run the workload pairs only, not the shipped configs")
     p.add_argument("--work", default=None, help="directory for the unpacked trees")
     p.add_argument("--out", default=None, help="output file (default: BENCH_<sha>.json)")
     return p.parse_args(argv)
@@ -340,13 +338,13 @@ def main(argv=None) -> int:
             **shas,
             "settings": {"pairs": PAIRS, "seconds": spec["run_seconds"],
                          "seed_base": args.seed_base,
-                         "shipped_runs": 0 if args.skip_shipped else SHIPPED_RUNS,
+                         "shipped_runs": SHIPPED_RUNS,
                          "order": "odd pairs run the parent first",
                          "gain_rule": f"change better in >= {GAIN_SHARE:.0%} of pairs and "
                                       "the medians apart by more than the parent IQR"},
             "machine": machine(),
             "workloads": run_pairs(trees, spec, args),
-            "shipped": {} if args.skip_shipped else run_shipped(trees, work),
+            "shipped": run_shipped(trees, work),
         }
         doc["settings"]["elapsed_s"] = round(time.time() - started, 1)
     problems = check_bench_file(doc, spec["run_seconds"])
