@@ -33,9 +33,10 @@ __all__ = [
     "assemble_h0",
     "assemble_anderson",
     "assemble_periodic_approx",
-    "chains_per_count",
     "count_strictly_below",
     "folded_potential",
+    "realization_chunks",
+    "sturm_bytes",
     "validate_single_site",
     "site_ranges",
 ]
@@ -46,11 +47,12 @@ __all__ = [
 SOLVER_BUDGET_POINTS = 20_000
 
 # Largest stack of dense Bloch matrices that ``bloch_spectra`` fills and
-# solves in one call; more quasimomenta are taken in chunks.
-_STACK_BYTES = 4_000_000
+# solves at once; more (potential, quasimomentum) pairs go through the same
+# buffer in turn.  Larger stacks solve no faster and only hold more memory.
+_STACK_BYTES = 250_000
 
-# Most bytes that one batched Sturm count of Dirichlet chains may hold
-# (``chains_per_count``); more realizations are counted in chunks.
+# Most bytes that one chunk of realizations may hold in a worker
+# (``realization_chunks``); more realizations are taken in more chunks.
 _CHAIN_BYTES = 16_000_000
 
 # Sites per block of the Sturm sweep: the pivmin guard is tested once per
@@ -451,8 +453,8 @@ class AssembledHamiltonian:
     def eigenvalues(self, upper: float | None = None) -> np.ndarray:
         """Sorted eigenvalues, optionally only those strictly below ``upper``.
 
-        Dispatches to a banded solver for real 1D Dirichlet chains and to
-        dense Hermitian solvers otherwise.  On real tridiagonal chains
+        Real 1D Dirichlet chains go to ``chain_eigenvalues`` and other
+        operators to a dense Hermitian solver.  On real tridiagonal chains
         the cutoff keeps the lowest ``count_below([upper])`` eigenvalues,
         so an eigenvalue at ``upper`` is dropped however it rounds; on
         other operators it keeps the computed eigenvalues below
@@ -460,8 +462,7 @@ class AssembledHamiltonian:
         """
         tri = self._tridiagonal()
         if tri is not None:
-            diag, off = tri
-            w = diag.copy() if len(diag) == 1 else scipy.linalg.eigvalsh_tridiagonal(diag, off)
+            w = chain_eigenvalues(*tri)
             if upper is None:
                 return w
             return w[: int(self.count_below([upper])[0])]
@@ -473,20 +474,24 @@ class AssembledHamiltonian:
     def bloch_spectra(
         self, potential: np.ndarray, bcs: Sequence[BoundaryCondition]
     ) -> np.ndarray:
-        """Sorted eigenvalues of the Bloch operator under each Theta condition, one row each.
+        """Sorted eigenvalues of the Bloch operator of each potential under each
+        Theta condition: ``potential[..., n]`` gives ``[..., len(bcs), n]``.
 
         This box has its wrap bonds cut (Dirichlet); A is its dense matrix
-        plus the multiplication by ``potential`` (one value per grid point),
-        and H(theta) = A + sum_a (e^{i theta_a} B_a + h.c.), where B_a holds
-        the wrap bonds of axis a (``_wrap_bonds``).  Each H(theta) starts
-        from a copy of A and adds the hops as assembly adds them: on a
-        one-point axis a bond sits on the diagonal and adds -2w cos(theta_a),
-        on a two-point axis it adds to the interior bond.  The matrices are
-        stacked and solved by one ``numpy.linalg.eigvalsh`` per chunk of at
-        most ``_STACK_BYTES``.  Wherever every axis has at least 2 points,
-        H(theta) is the box assembled under ``bcs[i]`` plus ``potential``
-        entry for entry and row i is its ``eigenvalues()``; on a one-point
-        axis the diagonal sums its terms in another order.
+        plus the multiplication by one row of ``potential`` (one value per
+        grid point, after any leading batch axes), and H(theta) = A +
+        sum_a (e^{i theta_a} B_a + h.c.), where B_a holds the wrap bonds of
+        axis a (``_wrap_bonds``).  Each H(theta) starts from a copy of the
+        box's matrix, adds its potential to the diagonal and then the hops
+        as assembly adds them: on a one-point axis a bond sits on the
+        diagonal and adds -2w cos(theta_a), on a two-point axis it adds to
+        the interior bond.  The (potential, node) pairs are taken in row
+        order and solved by one ``numpy.linalg.eigvalsh`` per stack of at
+        most ``_STACK_BYTES``, so a row has the same bits in any batch and
+        in any stack.  Wherever every axis has at least 2 points, H(theta)
+        is the box assembled under ``bcs[i]`` plus the potential entry for
+        entry and its row is its ``eigenvalues()``; on a one-point axis the
+        diagonal sums its terms in another order.
         """
         if self.bc.wraps:
             raise ValueError(f"the Bloch operator starts from a Dirichlet box, not {self.bc.kind}")
@@ -496,21 +501,26 @@ class AssembledHamiltonian:
                 raise ValueError(f"need {d} theta phases, got {bc}")
         n = self.n
         a = self.dense().astype(complex)
-        a.flat[:: n + 1] += potential
         bonds = [(src * n + dst, dst * n + src, w) for src, dst, w in _wrap_bonds(self.grid)]
         phases = np.array([bc.theta for bc in bcs], dtype=float).reshape(len(bcs), d)
-        rows = np.empty((len(bcs), n))
-        chunk = max(1, _STACK_BYTES // a.nbytes)
-        for start in range(0, len(bcs), chunk):
-            theta = phases[start : start + chunk]
-            stack = np.repeat(a[None], len(theta), axis=0)
-            entries = stack.reshape(len(theta), n * n)  # a view: column i * n + j is entry (i, j)
-            for (fwd, bwd, w), phase in zip(bonds, theta.T):
+        potential = np.asarray(potential, dtype=float)
+        batch = potential.shape[:-1]
+        potential = potential.reshape(-1, n)
+        rows = np.empty((len(potential) * len(bcs), n))
+        buffer = np.empty((max(1, min(len(rows), _STACK_BYTES // a.nbytes)), n, n), dtype=complex)
+        for start in range(0, len(rows), len(buffer)):
+            stop = min(start + len(buffer), len(rows))
+            pair = np.arange(start, stop)
+            stack = buffer[: len(pair)]
+            stack[...] = a
+            entries = stack.reshape(len(pair), n * n)  # a view: column i * n + j is entry (i, j)
+            entries[:, :: n + 1] += potential[pair // len(bcs)]
+            for (fwd, bwd, w), phase in zip(bonds, phases[pair % len(bcs)].T):
                 hop = _wrap_hop(w, phase)[:, None]
                 entries[:, fwd] += hop
                 entries[:, bwd] += np.conj(hop)
-            rows[start : start + chunk] = np.linalg.eigvalsh(stack)
-        return rows
+            rows[start:stop] = np.linalg.eigvalsh(stack)
+        return rows.reshape(batch + (len(bcs), n))
 
     def with_potential(self, v: np.ndarray) -> "AssembledHamiltonian":
         """This operator plus the multiplication by ``v`` (one value per grid point)."""
@@ -595,13 +605,36 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.
     return count.reshape(batch + energies.shape)
 
 
-def chains_per_count(sites: int, energies: int) -> int:
-    """Most chains of ``sites`` sites that one ``_sturm_count`` at ``energies``
-    energies counts within ``_CHAIN_BYTES``: each chain holds its diagonal,
-    potential and squared couplings, and two (block, energies) planes of
-    the sweep."""
-    per_chain = 8 * (3 * sites + 2 * min(_STURM_BLOCK, sites) * energies)
-    return max(1, _CHAIN_BYTES // per_chain)
+def sturm_bytes(sites: int, energies: int) -> int:
+    """Bytes that one chain of ``sites`` sites holds in a ``_sturm_count`` at
+    ``energies`` energies: its diagonal, potential and squared couplings,
+    and two (block, energies) planes of the sweep."""
+    return 8 * (3 * sites + 2 * min(_STURM_BLOCK, sites) * energies)
+
+
+def realization_chunks(realizations: int, threads: int, row_bytes: int) -> list[range]:
+    """``range(realizations)`` cut into consecutive chunks of near-equal size:
+    at least one per thread, and as many more as keep each chunk within
+    ``_CHAIN_BYTES`` at ``row_bytes`` per realization."""
+    size = max(1, _CHAIN_BYTES // row_bytes)
+    parts = min(realizations, max(threads, -(-realizations // size)))
+    bounds = [realizations * i // parts for i in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def chain_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of the real chain tridiag(off, diag, off).
+
+    LAPACK dsterf, called directly: ``scipy.linalg.eigvalsh_tridiagonal``
+    reaches it through dstevd for eigenvalues only and gives the same bits,
+    after argument checks that cost more than a short chain's solve.
+    """
+    if len(diag) == 1:
+        return diag.copy()  # the wrapper refuses an empty off-diagonal
+    w, info = scipy.linalg.lapack.dsterf(diag, off)
+    if info != 0:
+        raise NumericalFailure(f"dsterf: {info} off-diagonal entries did not converge to zero")
+    return w
 
 
 def _wrap_bonds(grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -774,9 +807,11 @@ def assemble_anderson(
 
 
 def folded_potential(
-    grid: GridSpec, u: SingleSitePotential, sample: DisorderSample
+    grid: GridSpec, u: SingleSitePotential, sample: DisorderSample | Sequence[DisorderSample]
 ) -> np.ndarray:
-    """Potential of the periodic approximation on a (2l+1)^d cube box, flat.
+    """Potential of the periodic approximation on a (2l+1)^d cube box, flat;
+    a sequence of samples gives one row per sample, each with the bits of
+    its own call.
 
     The coupling at site k is the sampled value at the folded site
     k mod (2l+1)Z^d (representative in {-l..l}^d), so only the fundamental
@@ -786,7 +821,9 @@ def folded_potential(
     l = grid.half_width
     period = 2 * l + 1
     folded = [(np.asarray(r) + l) % period - l for r in site_ranges(grid, u.radius)]
-    return _site_sum(grid, u, sample.at(folded))
+    if isinstance(sample, DisorderSample):
+        return _site_sum(grid, u, sample.at(folded))
+    return _site_sum(grid, u, np.stack([s.at(folded) for s in sample]))
 
 
 def assemble_periodic_approx(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bands import brillouin_zone
 from .disorder import DisorderSample
-from .hamiltonian import AssembledHamiltonian, BoundaryCondition, NumericalFailure
+from .hamiltonian import AssembledHamiltonian, NumericalFailure, realization_chunks
 from .model import AndersonModel
 
 __all__ = [
@@ -146,29 +146,32 @@ class DecayTable:
         return [r.delta for r in self.rows]
 
 
-def _functional_periodic(model, g, half_width, theta_resolution, realization) -> float:
+def _difference_rows(model, g, ref_cells, half_widths, theta_resolution, realizations):
+    """One row [reference, F(l_1), F(l_2), ...] per realization of the chunk,
+    each on that realization's coupling field.
+
+    The reference sums g over the Dirichlet spectrum of ``ref_cells`` cells,
+    one realization at a time, per unit volume; F(l) sums g over the
+    spectra of the periodic approximation at the midpoint zone nodes, node
+    by node within each realization (this order fixes the rounding of the
+    payload), with weight ((2l+1) T)^{-d}.
+    """
     d = model.dimension
-    nodes = brillouin_zone(half_width, d).midpoint_nodes(theta_resolution)
-    weight = 1.0 / ((2 * half_width + 1) * theta_resolution) ** d
-    values = np.asarray(g(model.zone_spectra(half_width, nodes, realization)), dtype=float)
-    total = 0.0
-    for row in values:  # node by node: this order fixes the rounding of the payload
-        total += float(np.sum(row))
-    return weight * total
-
-
-def _functional_dirichlet(model, g, cells, realization) -> float:
-    h = model.anderson_box(cells, BoundaryCondition.dirichlet(), realization)
-    evals = h.eigenvalues()
-    return float(np.sum(np.asarray(g(evals), dtype=float))) / h.grid.volume
-
-
-def _functional_row(model, g, ref_cells, half_widths, theta_resolution, realization):
-    """[reference, F(l_1), F(l_2), ...] on one realization's coupling field."""
-    return [_functional_dirichlet(model, g, ref_cells, realization)] + [
-        _functional_periodic(model, g, l, theta_resolution, realization)
-        for l in half_widths
-    ]
+    spectra = model.dirichlet_spectra(ref_cells, realizations)
+    values = np.asarray(g(spectra), dtype=float)
+    volume = model.grid(ref_cells).volume
+    rows = np.empty((len(values), 1 + len(half_widths)))
+    rows[:, 0] = [float(np.sum(row)) / volume for row in values]
+    for j, l in enumerate(half_widths, start=1):
+        nodes = brillouin_zone(l, d).midpoint_nodes(theta_resolution)
+        weight = 1.0 / ((2 * l + 1) * theta_resolution) ** d
+        values = np.asarray(g(model.zone_spectra(l, nodes, realizations)), dtype=float)
+        for i, per_node in enumerate(values):
+            total = 0.0
+            for row in per_node:
+                total += float(np.sum(row))
+            rows[i, j] = weight * total
+    return rows
 
 
 def ids_difference_experiment(
@@ -179,6 +182,7 @@ def ids_difference_experiment(
     reference_half_width: int | None = None,
     theta_resolution: int = 8,
     map_fn: Callable | None = None,
+    threads: int = 1,
 ) -> DecayTable:
     """Convergence of the periodic-approximation IDS functional in l.
 
@@ -191,15 +195,25 @@ def ids_difference_experiment(
     is that of the paired per-realization differences.  The
     zero-disorder discrepancy is reported per l as the noise floor of
     the pipeline.
+
+    ``map_fn`` maps the worker over chunks of realizations from
+    ``realization_chunks``, at least one per thread; each chunk returns
+    its (chunk x (1 + len(half_widths))) rows, which stack in realization
+    order, and each row has the same bits in any chunk.  So the table does
+    not depend on ``threads``.
     """
     if realizations < 2:
         raise ValueError("need at least 2 realizations for a standard error")
     if reference_half_width is None:
         reference_half_width = 4 * max(half_widths)
-    args = (g, 2 * reference_half_width + 1, tuple(half_widths), theta_resolution)
-    row = partial(_functional_row, model, *args)
-    rows = np.asarray(list((map_fn or map)(row, range(realizations))))
-    floor = _functional_row(model.quiet(), *args, 0)
+    ref_cells = 2 * reference_half_width + 1
+    args = (g, ref_cells, tuple(half_widths), theta_resolution)
+    # a realization holds its reference spectrum and each node's, each with its g
+    points = model.grid(ref_cells).n_points + theta_resolution**model.dimension * sum(
+        model.grid(2 * l + 1).n_points for l in half_widths)
+    chunks = realization_chunks(realizations, threads, 16 * points)
+    rows = np.concatenate(list((map_fn or map)(partial(_difference_rows, model, *args), chunks)))
+    floor = _difference_rows(model.quiet(), *args, range(1))[0].tolist()
     ref_mean, ref_se = mean_stderr(rows[:, 0])
 
     table = []

@@ -26,6 +26,7 @@ from .hamiltonian import (
     assemble_anderson,
     assemble_h0,
     assemble_periodic_approx,
+    chain_eigenvalues,
     count_strictly_below,
     folded_potential,
     site_ranges,
@@ -126,6 +127,21 @@ class AndersonModel:
         h0 = _shared_h0(grid, self.v0, bc)
         return assemble_anderson(h0, self.single_site, self.sample_for_box(grid, realization))
 
+    def _dirichlet_chains(
+        self, cells: int | Sequence[int], realizations: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(diag[realizations, n], off[n - 1]) of the 1D Dirichlet box at each
+        realization: the diagonal of the box's H0 (assembled once per
+        process) plus the site sum of its couplings, drawn by
+        ``sample_for_box``, and H0's off-diagonal, which every chain shares.
+        Row i has the bits of ``anderson_box(cells, dirichlet,
+        realizations[i])._tridiagonal()``."""
+        grid = self.grid(cells)
+        ranges = site_ranges(grid, self.single_site.radius)
+        omega = np.stack([self.sample_for_box(grid, r).at(ranges) for r in realizations])
+        diag, off = _shared_h0(grid, self.v0, BoundaryCondition.dirichlet())._tridiagonal()
+        return diag + _site_sum(grid, self.single_site, omega), off
+
     def dirichlet_counts(
         self, cells: int | Sequence[int], energies: Sequence[float], realizations: Sequence[int]
     ) -> np.ndarray:
@@ -133,24 +149,34 @@ class AndersonModel:
         per realization in the given order, one column per E.
 
         Row i is ``anderson_box(cells, dirichlet, realizations[i]).count_below(energies)``.
-        In 1D every box is a real chain: its diagonal is the diagonal of the
-        box's H0 (assembled once per process) plus the site sum of its
-        couplings, drawn by ``sample_for_box``, and it shares H0's
-        off-diagonal; all the chains are counted by one batched Sturm sweep,
-        whose counts do not depend on the batch.  Other dimensions count
-        each assembled box.
+        In 1D the chains of ``_dirichlet_chains`` are counted by one batched
+        Sturm sweep, whose counts do not depend on the batch.  Other
+        dimensions count each assembled box.
         """
         energies = np.asarray(energies, dtype=float)
-        bc = BoundaryCondition.dirichlet()
         if self.dimension != 1:
+            bc = BoundaryCondition.dirichlet()
             rows = [self.anderson_box(cells, bc, r).count_below(energies) for r in realizations]
             return np.reshape(rows, (len(rows),) + energies.shape)
-        grid = self.grid(cells)
-        ranges = site_ranges(grid, self.single_site.radius)
-        omega = np.stack([self.sample_for_box(grid, r).at(ranges) for r in realizations])
-        diag, off = _shared_h0(grid, self.v0, bc)._tridiagonal()
-        chains = diag + _site_sum(grid, self.single_site, omega)
+        chains, off = self._dirichlet_chains(cells, realizations)
         return _sturm_count(chains, np.broadcast_to(off, (len(chains),) + off.shape), energies)
+
+    def dirichlet_spectra(
+        self, cells: int | Sequence[int], realizations: Sequence[int]
+    ) -> np.ndarray:
+        """Sorted spectrum of the Dirichlet box at each realization, one row
+        per realization in the given order.
+
+        Row i is ``anderson_box(cells, dirichlet, realizations[i]).eigenvalues()``
+        bit for bit.  In 1D each chain of ``_dirichlet_chains`` goes to
+        ``chain_eigenvalues``; other dimensions solve each assembled box.
+        """
+        if self.dimension != 1:
+            bc = BoundaryCondition.dirichlet()
+            rows = [self.anderson_box(cells, bc, r).eigenvalues() for r in realizations]
+            return np.reshape(rows, (len(rows), self.grid(cells).n_points))
+        chains, off = self._dirichlet_chains(cells, realizations)
+        return np.reshape([chain_eigenvalues(chain, off) for chain in chains], chains.shape)
 
     def periodic_box(
         self,
@@ -204,15 +230,19 @@ class AndersonModel:
         self,
         half_width: int,
         nodes: Sequence[Sequence[float]],
-        realization: int = 0,
+        realization: int | Sequence[int] = 0,
         sample: DisorderSample | None = None,
     ) -> np.ndarray:
         """Sorted spectra of H_{omega,l}(theta) at each zone node, one row per node.
 
-        A, the Dirichlet H0 of the box (assembled once per process) plus the
-        folded potential of H_{omega,l}, is made dense once; every node then
-        adds its wrap hops to a copy of A, and the copies are solved as one
-        stack (``AssembledHamiltonian.bloch_spectra``).  Row i equals
+        ``realization`` is one index, which gives the (nodes, n) array, or
+        a sequence of them (a chunk of realizations), which gives one such
+        array per realization in its order; ``sample`` replaces a single
+        realization's draw.  The folded potential of every realization
+        goes with the Dirichlet H0 of the box (assembled once per process)
+        to one ``AssembledHamiltonian.bloch_spectra`` call, which solves
+        the (realization, node) pairs in stacks and gives each row the bits
+        of a call on its realization alone.  Row i of a realization equals
         ``periodic_box_at(half_width, nodes[i], ...).eigenvalues()`` bitwise
         wherever every axis has at least 2 grid points, and to rounding on
         a one-point axis.
@@ -220,7 +250,8 @@ class AndersonModel:
         bcs = [self.wrap_phases(half_width, theta) for theta in nodes]
         grid = self.grid(2 * half_width + 1)
         if sample is None:
-            sample = self.sample_fundamental(grid, realization)
+            sample = (self.sample_fundamental(grid, realization) if np.ndim(realization) == 0
+                      else [self.sample_fundamental(grid, r) for r in realization])
         h0 = _shared_h0(grid, self.v0, BoundaryCondition.dirichlet())
         return h0.bloch_spectra(folded_potential(grid, self.single_site, sample), bcs)
 
@@ -229,10 +260,11 @@ class AndersonModel:
         half_width: int,
         nodes: Sequence[Sequence[float]],
         energies: Sequence[float],
-        realization: int = 0,
+        realization: int | Sequence[int] = 0,
         sample: DisorderSample | None = None,
     ) -> np.ndarray:
-        """#{eigenvalues of H_{omega,l}(theta) < E}, one row per node, one column per E.
+        """#{eigenvalues of H_{omega,l}(theta) < E}, one row per node, one column
+        per E; a chunk of realizations gives one such array per realization.
 
         Every count on a wrapped box is taken here, from the rows of
         ``zone_spectra``, so a tie within rounding is not decided.

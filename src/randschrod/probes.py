@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .bands import brillouin_zone
-from .hamiltonian import AssembledHamiltonian, GridSpec, NumericalFailure
+from .hamiltonian import AssembledHamiltonian, GridSpec, NumericalFailure, realization_chunks
 from .hscalc import smoothstep
 from .ids import mean_stderr
 from .model import AndersonModel
@@ -161,6 +161,16 @@ def combes_thomas_profile(
     )
 
 
+def _zone_counts(model, half_width, nodes, energies, realizations, map_fn, threads):
+    """The (realization, node, energy) counts of ``AndersonModel.zone_counts``,
+    mapped over the chunks of ``realization_chunks``, at least one per
+    thread, and stacked in realization order."""
+    row_bytes = 8 * len(nodes) * model.grid(2 * half_width + 1).n_points  # its spectra
+    chunks = realization_chunks(realizations, threads, row_bytes)
+    counts = partial(model.zone_counts, half_width, nodes, energies)
+    return np.concatenate(list((map_fn or map)(counts, chunks)))
+
+
 @dataclass(frozen=True)
 class GapProbabilityEstimate:
     side: int
@@ -184,6 +194,7 @@ def gap_probability(
     realizations: int,
     theta0: tuple[float, ...] | None = None,
     map_fn: Callable | None = None,
+    threads: int = 1,
 ) -> GapProbabilityEstimate:
     """P{an eigenvalue of the wrapped side-l box falls in [0, l^-alpha)}.
 
@@ -191,7 +202,9 @@ def gap_probability(
     axis, so couplings fold onto the torus, with periodic boundary
     conditions, or theta-boundary conditions when ``theta0`` is given;
     theta0 components are zone points with |theta| <= pi/side and
-    translate to a wrap phase of side * theta across the box.
+    translate to a wrap phase of side * theta across the box.  ``map_fn``
+    maps ``zone_counts`` over the chunks of ``realization_chunks``; the
+    counts are exact integers, so the estimate does not depend on them.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in ]0,1[, got {alpha}")
@@ -208,8 +221,9 @@ def gap_probability(
     window = float(side) ** (-alpha)
     # the Periodic box is the Bloch operator at theta = 0
     theta = (0.0,) * model.dimension if theta0 is None else theta0
-    counts = partial(model.zone_counts, (side - 1) // 2, [theta], [0.0, window])
-    hits = sum(int(c[0, 1] > c[0, 0]) for c in (map_fn or map)(counts, range(realizations)))
+    counts = _zone_counts(model, (side - 1) // 2, [theta], [0.0, window], realizations,
+                          map_fn, threads)
+    hits = int(np.count_nonzero(counts[:, 0, 1] > counts[:, 0, 0]))
     return GapProbabilityEstimate(
         side=side,
         alpha=alpha,
@@ -277,6 +291,7 @@ def theta_bounds_check(
     theta0: tuple[float, ...] | float | None = None,
     xi: float | None = None,
     map_fn: Callable | None = None,
+    threads: int = 1,
 ) -> tuple[ThetaAverageReport, FixedThetaReport | None]:
     """The zone-averaged check and, given ``theta0``, the fixed-theta check,
     from one count per realization at the zone nodes and theta0.
@@ -318,8 +333,7 @@ def theta_bounds_check(
         energies.append(energy + c9 / l)
         nodes = [*nodes, theta0]
 
-    counts = partial(model.zone_counts, l, nodes, energies)
-    rows = np.asarray(list((map_fn or map)(counts, range(realizations))))
+    rows = _zone_counts(model, l, nodes, energies, realizations, map_fn, threads)
     inside = rows[..., 1:] - rows[..., :1]  # [realization, node, window]: counts in [0, window)
     in_window = inside[:, :t_nodes, 0]
     lhs, lhs_se = mean_stderr(zone.volume * np.count_nonzero(in_window, axis=1) / t_nodes)

@@ -30,7 +30,7 @@ from .bands import (
     write_band_csv,
 )
 from .config import build_model, config_hash, resolve_config
-from .hamiltonian import BoundaryCondition, chains_per_count
+from .hamiltonian import BoundaryCondition, realization_chunks, sturm_bytes
 from .hscalc import QuadratureSpec, hs_transform, plateau_function
 from .ids import (
     ids_difference_experiment,
@@ -170,13 +170,11 @@ def _dirichlet_rows(model, cells, energies, realizations) -> np.ndarray:
 
 def _dirichlet_ids(model, cells, energies, realizations, threads, mapper) -> np.ndarray:
     """The (realizations x energies) array of ``_dirichlet_rows``, mapped over
-    chunks of realizations: at least one chunk per thread, each within
-    ``chains_per_count``.  Rows are exact counts over the volume, so the
-    array has the same bytes however it is chunked."""
-    size = chains_per_count(model.grid(cells).n_points, len(energies))
-    parts = min(realizations, max(threads, -(-realizations // size)))
-    bounds = [realizations * i // parts for i in range(parts + 1)]
-    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    the chunks of ``realization_chunks``: at least one per thread, each
+    within its bytes of Sturm count.  Rows are exact counts over the
+    volume, so the array has the same bytes however it is chunked."""
+    row_bytes = sturm_bytes(model.grid(cells).n_points, len(energies))
+    chunks = realization_chunks(realizations, threads, row_bytes)
     worker = partial(_dirichlet_rows, model, cells, energies)
     return np.concatenate(mapper(worker, chunks))
 
@@ -291,6 +289,7 @@ def _run_ids_diff(model, exp, execution, sink, mapper):
         reference_half_width=exp["reference_half_width"],
         theta_resolution=exp["theta_resolution"],
         map_fn=mapper,
+        threads=execution["threads"],
     )
     write_decay_csv(table, sink.path("decay.csv"), metadata=sink.metadata)
     sink.register("decay.csv")
@@ -371,7 +370,8 @@ def _run_gap_prob(model, exp, execution, sink, mapper):
     theta0 = tuple(exp["theta0"]) if exp["theta0"] is not None else None
     estimates = [
         gap_probability(
-            model, side, exp["alpha"], execution["realizations"], theta0, map_fn=mapper
+            model, side, exp["alpha"], execution["realizations"], theta0, map_fn=mapper,
+            threads=execution["threads"],
         )
         for side in exp["sides"]
     ]
@@ -384,6 +384,7 @@ def _run_theta_bounds(model, exp, execution, sink, mapper):
     avg, fixed = theta_bounds_check(
         model, exp["half_width"], exp["energy"], execution["realizations"],
         exp["theta_resolution"], exp["theta0"], exp["xi"], map_fn=mapper,
+        threads=execution["threads"],
     )
     payload: dict = {"average": avg, "average_passed": avg.passed}
     passed = avg.passed
@@ -498,7 +499,9 @@ def run(config: dict, out_root: str | None = None) -> ResultEnvelope:
     started = time.perf_counter()
     try:
         with open(directory / "resolved_config.yaml", "w", encoding="utf-8") as fh:
-            yaml.safe_dump(resolved, fh, sort_keys=True)
+            # libyaml's emitter where PyYAML has it: the safe dumper's bytes, faster
+            yaml.dump(resolved, fh, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper),
+                      sort_keys=True)
         sink = OutputSink(directory, {"config": digest, "kind": kind,
                                       "version": VERSION})
         mapper = parallel_map(execution["threads"])

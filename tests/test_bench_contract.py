@@ -58,7 +58,7 @@ def test_traced_tiny_zone_theta_round(tmp_path):
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"], out.stderr
     assert result["attempted"] == 1 and result["failed"] == 0
-    # one map over the two realizations, which share one assembled H0
+    # one map over one chunk of the two realizations, which share one assembled H0
     metrics = result["metrics"]
     assert metrics["hamiltonian.assemble_h0_calls"]["value"] == 1
-    assert metrics["runner.map_items"]["value"] == 2
+    assert metrics["runner.map_items"]["value"] == 1

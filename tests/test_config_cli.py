@@ -701,7 +701,7 @@ class TestCli:
         bloch_spectra = hamiltonian.AssembledHamiltonian.bloch_spectra
 
         def counted(self, potential, bcs):
-            rows.append(len(bcs))
+            rows.append((np.shape(potential)[:-1], len(bcs)))
             return bloch_spectra(self, potential, bcs)
 
         monkeypatch.setattr(hamiltonian.AssembledHamiltonian, "bloch_spectra", counted)
@@ -709,7 +709,8 @@ class TestCli:
         config["execution"]["threads"] = 1  # the counter lives in this process
         runner.run(config, out_root=str(tmp_path))
         m = config["execution"]["realizations"]
-        assert rows == [config["experiment"]["theta_resolution"] + 1] * m
+        # one thread maps one chunk: every realization's potential in one call
+        assert rows == [((m,), config["experiment"]["theta_resolution"] + 1)]
 
     def test_lifshitz_assembles_h0_once_for_all_realizations(self, tmp_path, monkeypatch):
         # every realization adds its couplings to one shared Dirichlet H0

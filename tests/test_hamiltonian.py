@@ -6,6 +6,7 @@ import unittest.mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +77,25 @@ class TestFreeSpectra:
         full = h.eigenvalues()
         head = h.eigenvalues(upper=2.5)
         assert np.allclose(head, full[full <= 2.5], atol=1e-12)
+
+
+class TestChainEigenvalues:
+    @pytest.mark.parametrize("n", [1, 2, 7, 513])
+    def test_dsterf_has_the_bits_of_eigvalsh_tridiagonal(self, n):
+        rng = np.random.default_rng(n)
+        diag, off = rng.uniform(1.5, 2.5, n), -rng.uniform(0.5, 1.5, n - 1)
+        w = hamiltonian.chain_eigenvalues(diag, off)
+        oracle = diag.copy() if n == 1 else scipy.linalg.eigvalsh_tridiagonal(diag, off)
+        assert np.array_equal(w, oracle)
+
+    @pytest.mark.parametrize("points_per_cell", [1, 2])
+    def test_dirichlet_spectra_rows_equal_each_box(self, points_per_cell):
+        model = AndersonModel.free(points_per_cell=points_per_cell, omega_max=0.8,
+                                   master_seed=2)
+        spectra = model.dirichlet_spectra(33, range(1, 4))
+        for r, row in zip(range(1, 4), spectra):
+            h = model.anderson_box(33, BoundaryCondition.dirichlet(), r)
+            assert np.array_equal(row, scipy.linalg.eigvalsh_tridiagonal(*h._tridiagonal()))
 
 
 class TestInertiaCounting:
@@ -480,6 +500,38 @@ class TestZoneSpectra:
         chunked = model.zone_spectra(2, nodes, realization=1)
         assert stacks == [3] * (len(nodes) // 3) + [len(nodes) % 3] * (len(nodes) % 3 > 0)
         assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("dimension, points_per_cell", [(1, 1), (1, 2), (2, 2)])
+    def test_batched_rows_equal_per_potential_calls(self, monkeypatch, dimension,
+                                                    points_per_cell):
+        model = AndersonModel.free(dimension=dimension, points_per_cell=points_per_cell,
+                                   omega_max=0.8, master_seed=4)
+        axis = np.linspace(-math.pi / 5, math.pi / 5, 5 if dimension == 1 else 2)
+        nodes = list(itertools.product(axis, repeat=dimension))
+        assert len(nodes) % 3 != 0
+        realizations = range(3, 7)
+        single = np.stack([model.zone_spectra(2, nodes, realization=r) for r in realizations])
+        batched = model.zone_spectra(2, nodes, realizations)
+        assert batched.shape == (len(realizations), len(nodes), (5 * points_per_cell) ** dimension)
+        assert np.array_equal(batched, single)
+        energies = [0.5, 1.0, 2.0]
+        counts = np.stack([model.zone_counts(2, nodes, energies, r) for r in realizations])
+        assert np.array_equal(model.zone_counts(2, nodes, energies, realizations), counts)
+
+        # stacks of 3 matrices: every stack boundary but the last falls
+        # inside one realization's nodes
+        n = batched.shape[-1]
+        monkeypatch.setattr(hamiltonian, "_STACK_BYTES", 3 * 16 * n * n)
+        assert np.array_equal(model.zone_spectra(2, nodes, realizations), single)
+
+    def test_leading_axes_of_the_potential_are_kept(self):
+        h = _free_h0(5, BoundaryCondition.dirichlet(), points_per_cell=2)
+        bcs = [BoundaryCondition.with_phases([t]) for t in (-0.4, 0.0, 1.3)]
+        potential = np.random.default_rng(8).uniform(0.0, 1.0, (2, 3, h.n))
+        rows = h.bloch_spectra(potential, bcs)
+        assert rows.shape == (2, 3, len(bcs), h.n)
+        for index in itertools.product(range(2), range(3)):
+            assert np.array_equal(rows[index], h.bloch_spectra(potential[index], bcs))
 
     def test_bloch_operator_starts_from_a_dirichlet_box(self):
         h = _free_h0(5, BoundaryCondition.periodic())

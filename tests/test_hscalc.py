@@ -243,6 +243,17 @@ class TestExtension:
             exact = ext.dbar(x0, y0)
             assert abs(fd - exact) < 1e-5 * max(1.0, abs(exact)), (x0, y0)
 
+    def test_dbar_on_quadrature_nodes_equals_dbar_node_by_node(self):
+        # the nodes share few x values, each of whose factors dbar evaluates
+        # once; every entry must keep the bits of a call on its node alone
+        ext = extend(plateau_function(0.5, 4), 4)
+        zx, zy, _ = QuadratureSpec.for_function(ext.source).nodes()
+        picked = np.random.default_rng(3).choice(len(zx), 64, replace=False)
+        whole = ext.dbar(zx, zy)[picked]
+        alone = [ext.dbar(zx[i : i + 1], zy[i : i + 1])[0] for i in picked]
+        assert len(np.unique(zx)) < len(zx) / 10
+        assert whole.tolist() == alone
+
     def test_leading_term_is_an_equality_below_the_cutoff_shell(self):
         # for |y| < <x> the window factor is identically 1, so |dbar|
         # reduces to |f^(n+1)(x)| |y|^n / (2 n!) exactly

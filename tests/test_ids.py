@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -24,7 +25,7 @@ from randschrod import (
 from randschrod.config import build_model, load_config, resolve_config
 from randschrod.hamiltonian import count_strictly_below
 from randschrod.hscalc import plateau_function
-from randschrod.ids import _functional_dirichlet, _functional_periodic, mean_stderr
+from randschrod.ids import _difference_rows, mean_stderr
 from randschrod import hamiltonian, runner
 from randschrod.runner import run
 
@@ -38,6 +39,29 @@ def _dense_count_oracle(h, energies):
 
 def _integer_counts(curve):
     return np.rint(curve.values * curve.volume).astype(int)
+
+
+def _functional_periodic(model, g, half_width, theta_resolution, realization) -> float:
+    """Oracle of the periodic columns of ``_difference_rows``: one
+    realization's zone spectra, g summed node by node."""
+    d = model.dimension
+    nodes = brillouin_zone(half_width, d).midpoint_nodes(theta_resolution)
+    weight = 1.0 / ((2 * half_width + 1) * theta_resolution) ** d
+    values = np.asarray(g(model.zone_spectra(half_width, nodes, realization)), dtype=float)
+    total = 0.0
+    for row in values:
+        total += float(np.sum(row))
+    return weight * total
+
+
+def _functional_dirichlet(model, g, cells, realization) -> float:
+    """Oracle of the reference column of ``_difference_rows``: one assembled
+    box, solved by scipy's tridiagonal or dense eigenvalue routine."""
+    h = model.anderson_box(cells, BoundaryCondition.dirichlet(), realization)
+    tri = h._tridiagonal()
+    evals = (scipy.linalg.eigvalsh(h.dense()) if tri is None
+             else scipy.linalg.eigvalsh_tridiagonal(*tri))
+    return float(np.sum(np.asarray(g(evals), dtype=float))) / h.grid.volume
 
 
 class TestDirichletCounting:
@@ -175,16 +199,18 @@ class TestStieltjesFunctional:
         # every box carries points_per_cell^d eigenvalues per unit cell
         model = AndersonModel.free(points_per_cell=2, omega_max=0.5, master_seed=4)
         one = lambda e: np.ones_like(e)  # noqa: E731
-        assert _functional_periodic(model, one, 3, 4, 0) == pytest.approx(2.0, rel=1e-14)
-        assert _functional_dirichlet(model, one, 7, 0) == pytest.approx(2.0, rel=1e-14)
+        (dirichlet, periodic), = _difference_rows(model, one, 7, (3,), 4, range(1))
+        assert periodic == pytest.approx(2.0, rel=1e-14)
+        assert dirichlet == pytest.approx(2.0, rel=1e-14)
 
     def test_function_supported_in_a_gap_integrates_to_zero(self):
         # with V >= 0 the spectrum lies in [0, inf), below which g vanishes
         model = AndersonModel.free(omega_max=1.0, master_seed=4)
         g = plateau_function(0.5, 3)  # support [-0.25, 0.75]
         below = lambda e: g(np.asarray(e) + 1.0)  # noqa: E731
-        assert _functional_periodic(model, below, 3, 4, 0) == 0.0
-        assert _functional_dirichlet(model, below, 7, 0) == 0.0
+        (dirichlet, periodic), = _difference_rows(model, below, 7, (3,), 4, range(1))
+        assert periodic == 0.0
+        assert dirichlet == 0.0
 
 
 class TestAveraging:
@@ -241,7 +267,7 @@ class TestDifferenceExperiment:
             for evals in model.zone_spectra(l, nodes, realization=2):
                 total += float(np.sum(np.asarray(g(evals), dtype=float)))
             weight = 1.0 / ((2 * l + 1) * 3) ** dimension
-            assert _functional_periodic(model, g, l, 3, 2) == weight * total
+            assert _difference_rows(model, g, 3, (l,), 3, [2])[0, 1] == weight * total
 
     def test_stderr_is_that_of_the_paired_differences(self):
         # realization m shares one coupling field between the reference and
@@ -395,6 +421,54 @@ def _dirichlet_config(kind, points_per_cell):
     else:
         energies = np.linspace(exp["energy_min"], exp["energy_max"], exp["energy_points"])
     return config, energies
+
+
+class TestChunkedDifferenceRows:
+    """ids-diff solves a chunk of realizations at a time; each row must be
+    the functionals of its own realization, bit for bit."""
+
+    @pytest.mark.parametrize("dimension, points_per_cell", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_rows_equal_the_per_realization_functionals(self, dimension, points_per_cell):
+        model = AndersonModel.free(dimension=dimension, points_per_cell=points_per_cell,
+                                   omega_max=0.5, master_seed=6)
+        g = plateau_function(0.5, 4)
+        ref_cells = 65 if dimension == 1 else 5
+        realizations = range(2, 6)
+        rows = _difference_rows(model, g, ref_cells, (1, 2), 3, realizations)
+        assert rows.shape == (len(realizations), 3)
+        for row, r in zip(rows, realizations):
+            oracle = [_functional_dirichlet(model, g, ref_cells, r)] + [
+                _functional_periodic(model, g, l, 3, r) for l in (1, 2)
+            ]
+            assert row.tolist() == oracle
+
+    @pytest.mark.parametrize("config_name, changes", [
+        ("ids_diff_1d.yaml", {"half_widths": [2, 4], "reference_half_width": 16}),
+        ("theta_bounds_1d.yaml", {"half_width": 4}),
+        ("gap_prob_1d.yaml", {"sides": [5, 9]}),
+    ])
+    def test_one_realization_per_chunk_writes_the_same_bytes(
+        self, tmp_path, monkeypatch, config_name, changes
+    ):
+        config = load_config(str(CONFIG_DIR / config_name))
+        config["experiment"].update(changes)
+        config["execution"].update(realizations=5, threads=1)
+        chunks = []
+        zone_spectra = AndersonModel.zone_spectra
+
+        def counted(self, half_width, nodes, realization=0, sample=None):
+            if np.ndim(realization) == 1:
+                chunks.append(len(realization))
+            return zone_spectra(self, half_width, nodes, realization, sample)
+
+        monkeypatch.setattr(AndersonModel, "zone_spectra", counted)
+        whole = run(config, out_root=str(tmp_path / "whole")).payloads
+        assert max(chunks) == 5
+        monkeypatch.setattr(hamiltonian, "_CHAIN_BYTES", 1)
+        chunks.clear()
+        split = run(config, out_root=str(tmp_path / "split")).payloads
+        assert set(chunks) == {1}
+        assert split == whole
 
 
 class TestChunkedDirichletRows:
