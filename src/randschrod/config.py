@@ -405,8 +405,7 @@ def resolve_config(config: dict) -> dict:
 
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        # libyaml's parser where PyYAML has it: the safe loader's documents, faster
-        data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        data = yaml.safe_load(fh)
     if data is None:
         raise ConfigError(["config file is empty"])
     return data
