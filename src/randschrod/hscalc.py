@@ -291,15 +291,15 @@ class AlmostAnalyticExtension:
     def cutoff_factor(self, x, y):
         return self.cutoff.value(np.asarray(y, dtype=float) / hypot1(x))
 
-    def _taylor(self, x, y, derivs=None) -> np.ndarray:
+    def _taylor(self, x, y, unique=None) -> np.ndarray:
         iy = 1j * np.asarray(y, dtype=float)
-        derivs = derivs or [d(np.asarray(x, dtype=float)) for d in self.derivs[: self.order + 1]]
-        acc = np.zeros(np.broadcast(derivs[0], iy).shape, dtype=complex)
+        distinct, back = unique or np.unique(np.asarray(x, dtype=float), return_inverse=True)
+        acc = np.zeros(np.broadcast(back, iy).shape, dtype=complex)
         power = np.ones_like(acc)
         for r in range(self.order + 1):
             if r > 0:
                 power = power * iy / r
-            acc = acc + derivs[r] * power
+            acc = acc + self.derivs[r](distinct)[back] * power
         return acc
 
     def value(self, x, y):
@@ -310,7 +310,7 @@ class AlmostAnalyticExtension:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         distinct, back = np.unique(x, return_inverse=True)  # quadrature nodes share few x
-        *derivs, bracket = [h(distinct)[back] for h in (*self.derivs, hypot1)]
+        bracket = hypot1(distinct)[back]
         u = y / bracket
         s = self.cutoff.value(u)
         du = self.cutoff.slope(u)
@@ -318,8 +318,8 @@ class AlmostAnalyticExtension:
         s_y = du / bracket
         n = self.order
         iy_n = (1j * y) ** n
-        lead = 0.5 * derivs[n + 1] * iy_n / math.factorial(n) * s
-        tail = 0.5 * (s_x + 1j * s_y) * self._taylor(x, y, derivs)
+        lead = 0.5 * self.derivs[n + 1](distinct)[back] * iy_n / math.factorial(n) * s
+        tail = 0.5 * (s_x + 1j * s_y) * self._taylor(x, y, (distinct, back))
         return lead + tail
 
 
