@@ -39,12 +39,9 @@ from .hscalc import (
     dbar_bound_check,
     extend,
     hs_transform,
-    lemma_integral_check,
-    leibniz_constant,
     matrix_function_eigh,
     matrix_function_hs,
     plateau_function,
-    shifted_weight,
     smoothstep,
 )
 from .ids import (
@@ -118,8 +115,6 @@ __all__ = [
     "ids_difference_experiment",
     "ids_dirichlet_box",
     "ids_periodic_approx",
-    "leibniz_constant",
-    "lemma_integral_check",
     "lifshitz_fit",
     "load_config",
     "m_regularity_test",
@@ -132,7 +127,6 @@ __all__ = [
     "resolve_config",
     "run",
     "sample_disorder",
-    "shifted_weight",
     "smoothstep",
     "theta_average_check",
     "theta_bounds_check",

@@ -320,7 +320,8 @@ _KINDS = {
          and hw >= 1 and _in_zone(theta0, d, 2 * hw + 1)),), _SAMPLED),
     "msa-schedule": Schema({
         "l0": _int(6), "m0": _pos(), "q0": _num(), "zeta": Field("any"),
-        "steps": _int(1, 10), "c1": _num(0.0, 0.0), "c2": _num(0.0, 0.0),
+        # a cap on the request: at zeta = 1.5 even l0 = 6 leaves the double range at step 15
+        "steps": _int(1, 10, 20), "c1": _num(0.0, 0.0), "c2": _num(0.0, 0.0),
         "c3": _pos(1.0), "xi": _pos(2.0),
     }, ((("l0",), lambda l0: l0 % 3 != 0 and [f"l0: must be a multiple of 3, got {l0}"]),
         (("zeta",), lambda zeta: not (_is_num(zeta) and 1.0 < zeta < 2.0) and [

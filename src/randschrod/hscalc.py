@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -22,25 +21,20 @@ __all__ = [
     "smoothstep",
     "SmoothCompactFunction",
     "CutoffFunction",
-    "CutoffReport",
     "AlmostAnalyticExtension",
     "DbarBoundReport",
-    "LemmaIntegralReport",
     "QuadratureSpec",
     "extend",
     "dbar",
     "dbar_bound_check",
     "plateau_function",
-    "shifted_weight",
-    "leibniz_constant",
     "HsTransform",
     "hs_transform",
     "matrix_function_hs",
     "matrix_function_eigh",
-    "lemma_integral_check",
 ]
 
-# target bytes per (eigenvalue x node) kernel chunk of HsTransform
+# target bytes per (eigenvalues x nodes) block of HsTransform: two arrays of 8-byte entries
 _CHUNK_BYTES = 25_000_000
 
 
@@ -180,31 +174,6 @@ class SmoothCompactFunction:
             smoothness=min(self.smoothness, other.smoothness),
         )
 
-    @staticmethod
-    def polynomial_bump(a: float, b: float, order: int, label: str = "") -> "SmoothCompactFunction":
-        """((x-a)(b-x))^(order+1), normalized to peak 1; C^order at the edges.
-
-        Stored as (1 - v^2)^(order+1) in the local window v in [-1, 1],
-        where the expansion is well conditioned at any degree.
-        """
-        if not a < b:
-            raise ValueError("need a < b")
-        k = order + 1
-        base = Polynomial([1.0, 0.0, -1.0], domain=[a, b], window=[-1.0, 1.0]) ** k
-        return SmoothCompactFunction(
-            breakpoints=np.array([a, b]),
-            pieces=(base,),
-            smoothness=order,
-            label=label or f"bump[{a},{b}]^{k}",
-        )
-
-
-@dataclass(frozen=True)
-class CutoffReport:
-    passed: bool
-    slope_sup: float
-    messages: tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class CutoffFunction:
@@ -251,27 +220,6 @@ class CutoffFunction:
         d = self.step.deriv()
         out[shell] = -np.sign(x[shell]) * d(np.abs(x[shell]) - 1.0)
         return out[0] if raw.ndim == 0 else out
-
-    def validate(self, samples: int = 2001) -> CutoffReport:
-        msgs = []
-        xs = np.linspace(-2.5, 2.5, samples)
-        vals = self.value(xs)
-        inner = np.abs(xs) < 1.0
-        outer = np.abs(xs) > 2.0
-        if np.max(np.abs(vals[inner] - 1.0)) > 1e-12:
-            msgs.append("window is not identically 1 on |x| < 1")
-        if np.max(np.abs(vals[outer])) > 1e-12:
-            msgs.append("window does not vanish for |x| > 2")
-        slope_sup = float(np.max(np.abs(self.slope(xs))))
-        if slope_sup > 2.0:
-            msgs.append(f"slope bound violated: sup |t'| = {slope_sup:.4f} > 2")
-        # C^1 across the shell edges, sampled central differences
-        h = 1e-6
-        for edge in (-2.0, -1.0, 1.0, 2.0):
-            fd = (self.value(edge + h) - self.value(edge - h)) / (2 * h)
-            if abs(fd - self.slope(np.array(edge))) > 1e-4:
-                msgs.append(f"transition not smooth at x = {edge}")
-        return CutoffReport(passed=not msgs, slope_sup=slope_sup, messages=tuple(msgs))
 
 
 @dataclass(frozen=True)
@@ -423,53 +371,6 @@ def plateau_function(energy: float, n: int) -> SmoothCompactFunction:
         smoothness=n + 1,
         label=f"plateau(E={E:g}, n={n})",
     )
-
-
-def leibniz_constant(n: int, q: int, lam: float, support: tuple[float, float]) -> float:
-    """Seminorm amplification bound for multiplying by (lam + x)^q.
-
-    From the product rule: ||f^(j)|| <= sum_i C(j,i) q!/(q-i)! M^(q-i)
-    ||g^(j-i)|| with M = sup of (lam + x) on the support; collecting
-    coefficients per ||g^(r)|| and maximizing gives the constant.
-    """
-    a, b = support
-    m = lam + b
-    totals = np.zeros(n + 2)
-    for r in range(n + 2):
-        for j in range(r, n + 2):
-            i = j - r
-            if i > q:
-                continue
-            falling = math.factorial(q) // math.factorial(q - i)
-            totals[r] += math.comb(j, i) * falling * m ** (q - i)
-    return float(np.max(totals))
-
-
-def shifted_weight(
-    g: SmoothCompactFunction, lam: float, q: int, order_n: int | None = None
-) -> SmoothCompactFunction:
-    """Multiply g by the polynomial weight (lam + x)^q.
-
-    Checks the seminorm inflation against the product-rule constant; a
-    failure here would mean the sampled sup-norms are inconsistent.
-    """
-    if q < 0 or int(q) != q:
-        raise ValueError(f"weight exponent must be a nonnegative integer, got {q}")
-    a, b = g.support
-    if lam + a <= 0:
-        raise ValueError(f"lam + x must stay positive on the support; lam + {a} <= 0")
-    n = g.smoothness - 1 if order_n is None else order_n
-    weight = Polynomial([lam, 1.0]) ** int(q)
-    f = g.multiplied_by(weight, label=f"(lam+x)^{q} * {g.label}" if g.label else "")
-    c4 = leibniz_constant(n, int(q), lam, g.support)
-    lhs = f.seminorm(n + 1)
-    rhs = c4 * g.seminorm(n + 1)
-    # 1e-2 slack: sup-norms are sampled, so either side can be slightly low
-    if lhs > rhs * (1 + 1e-2):
-        raise RuntimeError(
-            f"seminorm bound failed: {lhs:.6g} > {c4:.6g} * {g.seminorm(n + 1):.6g}"
-        )
-    return f
 
 
 @dataclass(frozen=True)
@@ -644,15 +545,20 @@ class HsTransform:
         lam = np.asarray(lam, dtype=float)
         flat = lam.ravel()
         # Re(c / (lam - z)) = (Re c (lam - x) - Im c y) / ((lam - x)^2 + y^2):
-        # real arithmetic throughout, a fraction of the cost of complex division
-        cr, ciy = self.coeff.real, self.coeff.imag * self.y
-        chunk = max(1, _CHUNK_BYTES // (16 * max(1, flat.size)))
-        r = np.zeros(flat.shape)
-        for k in range(0, self.x.size, chunk):
-            part = slice(k, k + chunk)
-            d = flat[:, None] - self.x[part]
-            inv = 1.0 / (d * d + self.y[part] ** 2)
-            r += (d * inv) @ cr[part] - inv @ ciy[part]
+        # real arithmetic throughout, a fraction of the cost of complex division.
+        # Each eigenvalue's terms are summed in one row by numpy, not by a BLAS
+        # product, whose order of summation follows the BLAS thread count.
+        cr, ciy, y2 = self.coeff.real, self.coeff.imag * self.y, self.y**2
+        block = max(1, _CHUNK_BYTES // (16 * max(1, self.x.size)))
+        r = np.empty(flat.shape)
+        for k in range(0, flat.size, block):
+            d = flat[k:k + block, None] - self.x
+            terms = d * cr
+            terms -= ciy
+            d *= d
+            d += y2
+            terms /= d
+            r[k:k + block] = terms.sum(axis=1)
         return (2.0 / math.pi * r).reshape(lam.shape)
 
 
@@ -709,82 +615,3 @@ def matrix_function_eigh(a: np.ndarray, f) -> np.ndarray:
     a = _require_hermitian(a)
     w, v = np.linalg.eigh(a)
     return (v * np.asarray(f(w), dtype=float)) @ v.conj().T
-
-
-@dataclass(frozen=True)
-class LemmaIntegralRow:
-    scale: int
-    lhs: float
-    rhs: float
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
-
-
-@dataclass(frozen=True)
-class LemmaIntegralReport:
-    rows: tuple[LemmaIntegralRow, ...]
-    onset_scale: int | None
-    seminorm: float
-    support_length: float
-
-    @property
-    def passed(self) -> bool:
-        return self.onset_scale is not None
-
-
-def lemma_integral_check(
-    f: SmoothCompactFunction,
-    n: int,
-    c3: float,
-    scales: Sequence[int],
-    dimension: int,
-    quad: QuadratureSpec | None = None,
-    cutoff: CutoffFunction | None = None,
-) -> LemmaIntegralReport:
-    """Weighted dbar integral against its closed-form decay bound.
-
-    Evaluates iint |dbar(x,y)| |y|^(-2d-2) exp(-c3 |y| l) dx dy and
-    compares with 2 c3^(-n+2d+2) |||f|||_(n+1) |supp f| l^(-n+2d+1) for
-    each scale l, reporting the onset scale from which the bound holds
-    onward.  The y-singularity is integrable only for n >= 2d + 2.
-    """
-    d = dimension
-    if n < 2 * d + 2:
-        raise ValueError(
-            f"order n = {n} < 2d + 2 = {2 * d + 2}: the |y|^(-2d-2) weight diverges"
-        )
-    if c3 <= 0:
-        raise ValueError("decay constant must be positive")
-    sa, sb = f.support
-    if sa < -0.5 - 1e-12 or sb > 0.5 + 1e-12:
-        raise ValueError(f"support [{sa}, {sb}] must lie inside [-1/2, 1/2]")
-    if quad is None:
-        # midpoint: |dbar| has sign-change creases that defeat high-order rules
-        quad = QuadratureSpec.for_function(
-            f, x_points=96, y_panels=40, y_subnodes=8, scheme="midpoint"
-        )
-    ext = extend(f, n, cutoff)
-
-    xs, wx = quad.x_nodes()
-    ys, wy = quad.positive_y_nodes()
-    absd = np.abs(ext.dbar(xs[:, None], ys[None, :]))
-    base = (wx[:, None] * wy[None, :]) * absd * ys[None, :] ** (-2 * d - 2)
-
-    norm = f.seminorm(n + 1)
-    length = f.support_length
-    rows = []
-    for l in scales:
-        # factor 2: the integrand is even in y
-        lhs = 2.0 * float(np.sum(base * np.exp(-c3 * ys[None, :] * l)))
-        rhs = 2.0 * c3 ** (-n + 2 * d + 2) * norm * length * l ** (-n + 2 * d + 1)
-        rows.append(LemmaIntegralRow(scale=int(l), lhs=lhs, rhs=rhs))
-    onset = None
-    for i in range(len(rows)):
-        if all(r.holds for r in rows[i:]):
-            onset = rows[i].scale
-            break
-    return LemmaIntegralReport(
-        rows=tuple(rows), onset_scale=onset, seminorm=norm, support_length=length
-    )

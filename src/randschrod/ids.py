@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bands import brillouin_zone
 from .disorder import DisorderSample
-from .hamiltonian import AssembledHamiltonian, NumericalFailure, realization_chunks
+from .hamiltonian import AssembledHamiltonian, NumericalFailure
 from .model import AndersonModel
 
 __all__ = [
@@ -181,8 +180,6 @@ def ids_difference_experiment(
     realizations: int,
     reference_half_width: int | None = None,
     theta_resolution: int = 8,
-    map_fn: Callable | None = None,
-    threads: int = 1,
 ) -> DecayTable:
     """Convergence of the periodic-approximation IDS functional in l.
 
@@ -196,24 +193,23 @@ def ids_difference_experiment(
     zero-disorder discrepancy is reported per l as the noise floor of
     the pipeline.
 
-    ``map_fn`` maps the worker over chunks of realizations from
-    ``realization_chunks``, at least one per thread; each chunk returns
-    its (chunk x (1 + len(half_widths))) rows, which stack in realization
-    order, and each row has the same bits in any chunk.  So the table does
-    not depend on ``threads``.
+    The rows of ``_difference_rows`` over all realizations go to
+    ``_decay_table``; the ``ids-diff`` run maps the same worker over
+    chunks of realizations, and each row has the same bits in any chunk.
     """
     if realizations < 2:
         raise ValueError("need at least 2 realizations for a standard error")
     if reference_half_width is None:
         reference_half_width = 4 * max(half_widths)
-    ref_cells = 2 * reference_half_width + 1
-    args = (g, ref_cells, tuple(half_widths), theta_resolution)
-    # a realization holds its reference spectrum and each node's, each with its g
-    points = model.grid(ref_cells).n_points + theta_resolution**model.dimension * sum(
-        model.grid(2 * l + 1).n_points for l in half_widths)
-    chunks = realization_chunks(realizations, threads, 16 * points)
-    rows = np.concatenate(list((map_fn or map)(partial(_difference_rows, model, *args), chunks)))
-    floor = _difference_rows(model.quiet(), *args, range(1))[0].tolist()
+    args = (g, 2 * reference_half_width + 1, tuple(half_widths), theta_resolution)
+    return _decay_table(model, *args, _difference_rows(model, *args, range(realizations)))
+
+
+def _decay_table(model, g, ref_cells, half_widths, theta_resolution, rows) -> DecayTable:
+    """The table of ``ids_difference_experiment`` from the stacked rows of
+    ``_difference_rows``, one per realization in order."""
+    floor = _difference_rows(model.quiet(), g, ref_cells, half_widths, theta_resolution,
+                             range(1))[0].tolist()
     ref_mean, ref_se = mean_stderr(rows[:, 0])
 
     table = []
@@ -232,8 +228,8 @@ def ids_difference_experiment(
         rows=tuple(table),
         reference_value=float(ref_mean),
         reference_stderr=float(ref_se),
-        reference_half_width=reference_half_width,
-        realizations=realizations,
+        reference_half_width=(ref_cells - 1) // 2,
+        realizations=len(rows),
     )
 
 

@@ -8,9 +8,9 @@ plain ordered sums so results do not depend on worker scheduling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .bands import brillouin_zone
-from .hamiltonian import AssembledHamiltonian, GridSpec, NumericalFailure, realization_chunks
+from .hamiltonian import AssembledHamiltonian, GridSpec, NumericalFailure
 from .hscalc import smoothstep
 from .ids import mean_stderr
 from .model import AndersonModel
@@ -161,16 +161,6 @@ def combes_thomas_profile(
     )
 
 
-def _zone_counts(model, half_width, nodes, energies, realizations, map_fn, threads):
-    """The (realization, node, energy) counts of ``AndersonModel.zone_counts``,
-    mapped over the chunks of ``realization_chunks``, at least one per
-    thread, and stacked in realization order."""
-    row_bytes = 8 * len(nodes) * model.grid(2 * half_width + 1).n_points  # its spectra
-    chunks = realization_chunks(realizations, threads, row_bytes)
-    counts = partial(model.zone_counts, half_width, nodes, energies)
-    return np.concatenate(list((map_fn or map)(counts, chunks)))
-
-
 @dataclass(frozen=True)
 class GapProbabilityEstimate:
     side: int
@@ -193,8 +183,6 @@ def gap_probability(
     alpha: float,
     realizations: int,
     theta0: tuple[float, ...] | None = None,
-    map_fn: Callable | None = None,
-    threads: int = 1,
 ) -> GapProbabilityEstimate:
     """P{an eigenvalue of the wrapped side-l box falls in [0, l^-alpha)}.
 
@@ -202,14 +190,36 @@ def gap_probability(
     axis, so couplings fold onto the torus, with periodic boundary
     conditions, or theta-boundary conditions when ``theta0`` is given;
     theta0 components are zone points with |theta| <= pi/side and
-    translate to a wrap phase of side * theta across the box.  ``map_fn``
-    maps ``zone_counts`` over the chunks of ``realization_chunks``; the
-    counts are exact integers, so the estimate does not depend on them.
+    translate to a wrap phase of side * theta across the box.  The
+    ``gap-prob`` run takes every side of a realization in one row of
+    ``_gap_hits``; the hits are exact, so the estimate does not depend on
+    the chunking.
     """
+    estimates = _gap_estimates(model, (side,), alpha, theta0)
+    return estimates(_gap_hits(model, (side,), alpha, theta0, range(realizations)))[0]
+
+
+def _gap_hits(model, sides, alpha, theta0, realizations) -> np.ndarray:
+    """One row per realization of the chunk, one column per side: whether the
+    wrapped box of that side has an eigenvalue in [0, side^-alpha)."""
+    # the Periodic box is the Bloch operator at theta = 0
+    theta = (0.0,) * model.dimension if theta0 is None else theta0
+    columns = []
+    for side in sides:
+        counts = model.zone_counts((side - 1) // 2, [theta], [0.0, float(side) ** (-alpha)],
+                                   realizations)
+        columns.append(counts[:, 0, 1] > counts[:, 0, 0])
+    return np.stack(columns, axis=1)
+
+
+def _gap_estimates(model, sides, alpha, theta0):
+    """Check the sides, alpha and the band edge; return the function that
+    turns the stacked rows of ``_gap_hits`` into one estimate per side."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in ]0,1[, got {alpha}")
-    if side < 3 or side % 2 == 0:
-        raise ValueError(f"side must be odd and >= 3, got {side}")
+    for side in sides:
+        if side < 3 or side % 2 == 0:
+            raise ValueError(f"side must be odd and >= 3, got {side}")
     edge = model.band_minimum()
     if abs(edge) > _EDGE_TOLERANCE:
         raise ValueError(f"lowest band sits at {edge:.3e}, not 0; shift the model first")
@@ -218,22 +228,21 @@ def gap_probability(
     else:
         boundary = "theta(" + ",".join(f"{t:.6g}" for t in theta0) + ")"
 
-    window = float(side) ** (-alpha)
-    # the Periodic box is the Bloch operator at theta = 0
-    theta = (0.0,) * model.dimension if theta0 is None else theta0
-    counts = _zone_counts(model, (side - 1) // 2, [theta], [0.0, window], realizations,
-                          map_fn, threads)
-    hits = int(np.count_nonzero(counts[:, 0, 1] > counts[:, 0, 0]))
-    return GapProbabilityEstimate(
-        side=side,
-        alpha=alpha,
-        window=window,
-        boundary=boundary,
-        samples=realizations,
-        hits=hits,
-        estimate=hits / realizations,
-        interval=wilson_interval(hits, realizations),
-    )
+    def estimates(rows):
+        samples = len(rows)
+        hits = np.count_nonzero(rows, axis=0).tolist()
+        return [GapProbabilityEstimate(
+            side=side,
+            alpha=alpha,
+            window=float(side) ** (-alpha),
+            boundary=boundary,
+            samples=samples,
+            hits=count,
+            estimate=count / samples,
+            interval=wilson_interval(count, samples),
+        ) for side, count in zip(sides, hits)]
+
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -290,8 +299,6 @@ def theta_bounds_check(
     theta_resolution: int = 8,
     theta0: tuple[float, ...] | float | None = None,
     xi: float | None = None,
-    map_fn: Callable | None = None,
-    threads: int = 1,
 ) -> tuple[ThetaAverageReport, FixedThetaReport | None]:
     """The zone-averaged check and, given ``theta0``, the fixed-theta check,
     from one count per realization at the zone nodes and theta0.
@@ -309,6 +316,15 @@ def theta_bounds_check(
     inequality is sure; a fitted xi makes it statistical, hence the 2 sigma
     slack in ``passed``.
     """
+    nodes, energies, reports = _theta_bounds(model, half_width, energy, theta_resolution,
+                                             theta0, xi)
+    return reports(model.zone_counts(half_width, nodes, energies, range(realizations)))
+
+
+def _theta_bounds(model, half_width, energy, theta_resolution, theta0, xi):
+    """The nodes and energies at which ``theta_bounds_check`` counts each
+    realization, and the function that turns the stacked
+    (realization, node, energy) counts into its two reports."""
     if energy <= 0:
         raise ValueError("energy must be positive")
     d = model.dimension
@@ -333,42 +349,45 @@ def theta_bounds_check(
         energies.append(energy + c9 / l)
         nodes = [*nodes, theta0]
 
-    rows = _zone_counts(model, l, nodes, energies, realizations, map_fn, threads)
-    inside = rows[..., 1:] - rows[..., :1]  # [realization, node, window]: counts in [0, window)
-    in_window = inside[:, :t_nodes, 0]
-    lhs, lhs_se = mean_stderr(zone.volume * np.count_nonzero(in_window, axis=1) / t_nodes)
-    rhs, rhs_se = mean_stderr(
-        (2 * math.pi) ** d * in_window.sum(axis=1) / ((2 * l + 1) ** d * t_nodes)
-    )
-    average = ThetaAverageReport(
-        half_width=l,
-        energy=energy,
-        realizations=realizations,
-        theta_resolution=theta_resolution,
-        lhs=float(lhs),
-        lhs_stderr=float(lhs_se),
-        rhs=float(rhs),
-        rhs_stderr=float(rhs_se),
-    )
-    if theta0 is None:
-        return average, None
-    hits = int(np.count_nonzero(inside[:, -1, 0]))
-    prob = hits / realizations
-    bound, bound_se = mean_stderr(inside[:, :t_nodes, 1].sum(axis=1) / t_nodes)
-    return average, FixedThetaReport(
-        half_width=l,
-        energy=energy,
-        theta0=theta0,
-        xi=xi,
-        c8=c8,
-        c9=c9,
-        enlarged_energy=energies[2],
-        probability=prob,
-        interval=wilson_interval(hits, realizations),
-        prob_stderr=math.sqrt(prob * (1 - prob) / realizations),
-        bound=float(bound),
-        bound_stderr=float(bound_se),
-    )
+    def reports(rows):
+        realizations = len(rows)
+        inside = rows[..., 1:] - rows[..., :1]  # [realization, node, window]: counts in [0, window)
+        in_window = inside[:, :t_nodes, 0]
+        lhs, lhs_se = mean_stderr(zone.volume * np.count_nonzero(in_window, axis=1) / t_nodes)
+        rhs, rhs_se = mean_stderr(
+            (2 * math.pi) ** d * in_window.sum(axis=1) / ((2 * l + 1) ** d * t_nodes)
+        )
+        average = ThetaAverageReport(
+            half_width=l,
+            energy=energy,
+            realizations=realizations,
+            theta_resolution=theta_resolution,
+            lhs=float(lhs),
+            lhs_stderr=float(lhs_se),
+            rhs=float(rhs),
+            rhs_stderr=float(rhs_se),
+        )
+        if theta0 is None:
+            return average, None
+        hits = int(np.count_nonzero(inside[:, -1, 0]))
+        prob = hits / realizations
+        bound, bound_se = mean_stderr(inside[:, :t_nodes, 1].sum(axis=1) / t_nodes)
+        return average, FixedThetaReport(
+            half_width=l,
+            energy=energy,
+            theta0=theta0,
+            xi=xi,
+            c8=c8,
+            c9=c9,
+            enlarged_energy=energies[2],
+            probability=prob,
+            interval=wilson_interval(hits, realizations),
+            prob_stderr=math.sqrt(prob * (1 - prob) / realizations),
+            bound=float(bound),
+            bound_stderr=float(bound_se),
+        )
+
+    return nodes, energies, reports
 
 
 def theta_average_check(
@@ -377,11 +396,9 @@ def theta_average_check(
     energy: float,
     realizations: int,
     theta_resolution: int = 8,
-    map_fn: Callable | None = None,
 ) -> ThetaAverageReport:
     """The zone-averaged report of ``theta_bounds_check``."""
-    return theta_bounds_check(model, half_width, energy, realizations, theta_resolution,
-                              map_fn=map_fn)[0]
+    return theta_bounds_check(model, half_width, energy, realizations, theta_resolution)[0]
 
 
 def fixed_theta_check(
@@ -392,11 +409,10 @@ def fixed_theta_check(
     realizations: int,
     xi: float,
     theta_resolution: int = 8,
-    map_fn: Callable | None = None,
 ) -> FixedThetaReport:
     """The fixed-theta report of ``theta_bounds_check``."""
     return theta_bounds_check(model, half_width, energy, realizations, theta_resolution,
-                              theta0, xi, map_fn)[1]
+                              theta0, xi)[1]
 
 
 def _next_scale(length: int, zeta: float) -> int:
@@ -406,7 +422,8 @@ def _next_scale(length: int, zeta: float) -> int:
     else:
         import mpmath
 
-        with mpmath.workprec(160):
+        # length^zeta has about bit_length * zeta bits; 64 more keep its floor exact
+        with mpmath.workprec(math.ceil(length.bit_length() * zeta) + 64):
             floor_pow = int(mpmath.floor(mpmath.power(length, mpmath.mpf(zeta))))
     return 3 * (floor_pow // 3)
 
@@ -464,6 +481,8 @@ def msa_schedule(
     m_{j+1} = m_j (1 - 4 l_j / l_{j+1}) - c1/l_j - c2 log(l_{j+1})/l_{j+1},
     and the exponent solves
     l_{j+1}^{q_{j+1}} = c3 (l_{j+1}/l_j)^{2d} l_j^{2 q_j} + l_{j+1}^{-xi}/2.
+    The scales are exact integers; a scale beyond the largest double is a
+    NumericalFailure, since the masses and exponents are doubles.
     """
     if not 1.0 < zeta < 2.0:
         raise ValueError(f"scaling exponent must lie in ]1,2[, got {zeta}")
@@ -477,15 +496,21 @@ def msa_schedule(
     scales = [int(l0)]
     masses = [float(m0)]
     exponents = [float(q0)]
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         l, m, q = scales[-1], masses[-1], exponents[-1]
         l_next = _next_scale(l, zeta)
         if l_next <= l:
             raise NumericalFailure(f"scale recursion stalls at {l} (zeta too small)")
-        m_next = m * (1.0 - 4.0 * l / l_next) - c1 / l - c2 * math.log(l_next) / l_next
-        q_next = math.log(
-            c3 * (l_next / l) ** (2 * d) * l ** (2 * q) + 0.5 * l_next ** (-xi)
-        ) / math.log(l_next)
+        if l_next > sys.float_info.max:
+            raise NumericalFailure(
+                f"scale {step} has {l_next.bit_length()} bits, beyond the double range")
+        m_next = m * (1.0 - 4 * l / l_next) - c1 / l - c2 * math.log(l_next) / l_next
+        # in logarithms: l^(2q) and the sum overflow a double long before the scales do
+        log_l, log_next = math.log(l), math.log(l_next)
+        q_next = float(np.logaddexp(
+            math.log(c3) + 2 * d * (log_next - log_l) + 2 * q * log_l,
+            math.log(0.5) - xi * log_next,
+        )) / log_next
         scales.append(l_next)
         masses.append(m_next)
         exponents.append(q_next)

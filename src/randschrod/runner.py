@@ -33,7 +33,8 @@ from .config import build_model, config_hash, resolve_config
 from .hamiltonian import BoundaryCondition, realization_chunks, sturm_bytes
 from .hscalc import QuadratureSpec, hs_transform, plateau_function
 from .ids import (
-    ids_difference_experiment,
+    _decay_table,
+    _difference_rows,
     ids_periodic_approx,
     lifshitz_fit,
     mass_window,
@@ -42,11 +43,12 @@ from .ids import (
     write_ids_csv,
 )
 from .probes import (
+    _gap_estimates,
+    _gap_hits,
+    _theta_bounds,
     combes_thomas_profile,
-    gap_probability,
     m_regularity_test,
     msa_schedule,
-    theta_bounds_check,
 )
 
 __all__ = [
@@ -153,7 +155,26 @@ class ResultEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# per-item workers, bound with functools.partial and run through the mapper
+# the one parallel map of a run, and the chunk workers it maps: each takes a
+# chunk of item indices and returns one row per item
+
+
+def _map_rows(worker, items: int, row_bytes: int, threads: int) -> np.ndarray:
+    """The rows of ``worker`` over ``range(items)``, stacked in item order.
+
+    ``realization_chunks`` cuts the items into at least one chunk per
+    thread, each within ``_CHAIN_BYTES`` at ``row_bytes`` per item, and one
+    ``parallel_map`` takes the chunks, so a run starts at most one pool.
+    Every worker gives an item's row the same bits in any chunk, so the
+    array does not depend on the thread count.
+    """
+    chunks = realization_chunks(items, threads, row_bytes)
+    return np.concatenate(parallel_map(threads)(worker, chunks))
+
+
+def _each(worker, items) -> np.ndarray:
+    """The chunk form of a per-item ``worker``: its row for each item, in order."""
+    return np.array([worker(item) for item in items], dtype=float)
 
 
 def _brillouin_curve(model, half_width, energies, theta_resolution, realization) -> np.ndarray:
@@ -161,22 +182,6 @@ def _brillouin_curve(model, half_width, energies, theta_resolution, realization)
     return ids_periodic_approx(
         model, sample, half_width, energies, theta_resolution=theta_resolution
     ).values
-
-
-def _dirichlet_rows(model, cells, energies, realizations) -> np.ndarray:
-    """Per-volume counts N(E) of the Dirichlet box, one row per realization."""
-    return model.dirichlet_counts(cells, energies, realizations) / model.grid(cells).volume
-
-
-def _dirichlet_ids(model, cells, energies, realizations, threads, mapper) -> np.ndarray:
-    """The (realizations x energies) array of ``_dirichlet_rows``, mapped over
-    the chunks of ``realization_chunks``: at least one per thread, each
-    within its bytes of Sturm count.  Rows are exact counts over the
-    volume, so the array has the same bytes however it is chunked."""
-    row_bytes = sturm_bytes(model.grid(cells).n_points, len(energies))
-    chunks = realization_chunks(realizations, threads, row_bytes)
-    worker = partial(_dirichlet_rows, model, cells, energies)
-    return np.concatenate(mapper(worker, chunks))
 
 
 def _hs_error(matrix_dim, f, transforms, master_seed, index) -> tuple[float, ...]:
@@ -201,10 +206,10 @@ def _regularity(model, side, energy, delta, mass, probes, realization):
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: (model, exp, execution, sink, mapper) -> (summary, check)
+# experiment bodies: (model, exp, execution, sink) -> (summary, check)
 
 
-def _run_bandstructure(model, exp, execution, sink, mapper):
+def _run_bandstructure(model, exp, execution, sink):
     hw = exp["half_width"]
     bands = compute_bands(model, hw, exp["resolution"], exp["num_bands"], exp["realization"])
     write_band_csv(bands, sink.path("bands.csv"), metadata=sink.metadata)
@@ -222,16 +227,19 @@ def _run_bandstructure(model, exp, execution, sink, mapper):
     return f"{bands.num_bands} band(s), lower edge at {lo:.6g}", check
 
 
-def _run_ids(model, exp, execution, sink, mapper):
+def _run_ids(model, exp, execution, sink):
     energies = np.linspace(exp["energy_min"], exp["energy_max"], exp["energy_points"])
     m = execution["realizations"]
     if exp["method"] == "brillouin":
         worker = partial(
             _brillouin_curve, model, exp["half_width"], energies, exp["theta_resolution"]
         )
-        rows = mapper(worker, range(m))
+        rows = _map_rows(partial(_each, worker), m, 8 * len(energies), execution["threads"])
     else:
-        rows = _dirichlet_ids(model, exp["cells"], energies, m, execution["threads"], mapper)
+        grid = model.grid(exp["cells"])
+        counts = _map_rows(partial(model.dirichlet_counts, exp["cells"], energies), m,
+                           sturm_bytes(grid.n_points, len(energies)), execution["threads"])
+        rows = counts / grid.volume
     mean, stderr = mean_stderr(rows)
     write_ids_csv(energies, mean, stderr, sink.path("ids.csv"), metadata=sink.metadata)
     sink.register("ids.csv")
@@ -247,7 +255,7 @@ def _run_ids(model, exp, execution, sink, mapper):
     return f"{exp['method']} IDS over {m} realizations, N(max)={mean[-1]:.6g}", None
 
 
-def _run_lifshitz(model, exp, execution, sink, mapper):
+def _run_lifshitz(model, exp, execution, sink):
     edge = exp["edge"]
     offsets = np.geomspace(
         exp["energy_min"] - edge, exp["energy_max"] - edge, exp["energy_points"]
@@ -256,8 +264,10 @@ def _run_lifshitz(model, exp, execution, sink, mapper):
     m = execution["realizations"]
     # the edge is counted too, so the tail mass is measured from N(edge)
     grid = np.concatenate([[edge], energies])
-    rows = _dirichlet_ids(model, exp["cells"], grid, m, execution["threads"], mapper)
-    mean, stderr = mean_stderr(rows)
+    box = model.grid(exp["cells"])
+    counts = _map_rows(partial(model.dirichlet_counts, exp["cells"], grid), m,
+                       sturm_bytes(box.n_points, len(grid)), execution["threads"])
+    mean, stderr = mean_stderr(counts / box.volume)
     write_ids_csv(energies, mean[1:], stderr[1:], sink.path("ids.csv"), metadata=sink.metadata)
     sink.register("ids.csv")
 
@@ -279,18 +289,17 @@ def _run_lifshitz(model, exp, execution, sink, mapper):
     )
 
 
-def _run_ids_diff(model, exp, execution, sink, mapper):
+def _run_ids_diff(model, exp, execution, sink):
     g = plateau_function(exp["plateau_energy"], exp["plateau_order"])
-    table = ids_difference_experiment(
-        model,
-        g,
-        exp["half_widths"],
-        execution["realizations"],
-        reference_half_width=exp["reference_half_width"],
-        theta_resolution=exp["theta_resolution"],
-        map_fn=mapper,
-        threads=execution["threads"],
-    )
+    half_widths, theta_resolution = tuple(exp["half_widths"]), exp["theta_resolution"]
+    ref_cells = 2 * exp["reference_half_width"] + 1
+    args = (g, ref_cells, half_widths, theta_resolution)
+    # a realization holds its reference spectrum and each node's, each with its g
+    points = model.grid(ref_cells).n_points + theta_resolution**model.dimension * sum(
+        model.grid(2 * l + 1).n_points for l in half_widths)
+    rows = _map_rows(partial(_difference_rows, model, *args), execution["realizations"],
+                     16 * points, execution["threads"])
+    table = _decay_table(model, *args, rows)
     write_decay_csv(table, sink.path("decay.csv"), metadata=sink.metadata)
     sink.register("decay.csv")
     sink.write_json("decay.json", {"table": table})
@@ -298,7 +307,7 @@ def _run_ids_diff(model, exp, execution, sink, mapper):
     return f"Delta(l) = [{deltas}] vs reference l={table.reference_half_width}", None
 
 
-def _run_hs_check(model, exp, execution, sink, mapper):
+def _run_hs_check(model, exp, execution, sink):
     """The order-4 extension under the default quadrature and its refinement;
     the check asks for both a small error and a refinement gain of 4."""
     f = plateau_function(exp["plateau_energy"], exp["plateau_order"])
@@ -307,9 +316,9 @@ def _run_hs_check(model, exp, execution, sink, mapper):
     # transform per rule serves every matrix of the run
     transforms = tuple(hs_transform(f, 4, rule) for rule in (quad, quad.refine()))
     worker = partial(_hs_error, exp["matrix_dim"], f, transforms, execution["master_seed"])
-    rows = mapper(worker, range(exp["matrices"]))
-    errors = [row[0] for row in rows]
-    refined = [row[1] for row in rows]
+    rows = _map_rows(partial(_each, worker), exp["matrices"], 8 * len(transforms),
+                     execution["threads"])
+    errors, refined = rows.T.tolist()
     max_err = max(errors)
     tolerance = 1e-6
     max_ref = max(refined)
@@ -330,7 +339,7 @@ def _run_hs_check(model, exp, execution, sink, mapper):
     return f"max |f(A)_quad - f(A)_eigh| = {max_err:.3e}, refinement gain {ratio:.1f}x", check
 
 
-def _run_ct_decay(model, exp, execution, sink, mapper):
+def _run_ct_decay(model, exp, execution, sink):
     if exp["realization"] is None:
         h = model.h0_box(exp["cells"], BoundaryCondition.dirichlet())
     else:
@@ -366,26 +375,24 @@ def _run_ct_decay(model, exp, execution, sink, mapper):
     )
 
 
-def _run_gap_prob(model, exp, execution, sink, mapper):
-    theta0 = tuple(exp["theta0"]) if exp["theta0"] is not None else None
-    estimates = [
-        gap_probability(
-            model, side, exp["alpha"], execution["realizations"], theta0, map_fn=mapper,
-            threads=execution["threads"],
-        )
-        for side in exp["sides"]
-    ]
+def _run_gap_prob(model, exp, execution, sink):
+    args = (model, exp["sides"], exp["alpha"], exp["theta0"])
+    reduce = _gap_estimates(*args)  # checks the sides and the band edge before the map
+    estimates = reduce(_map_rows(partial(_gap_hits, *args), execution["realizations"],
+                                 len(exp["sides"]), execution["threads"]))
     sink.write_json("gap_prob.json", {"estimates": estimates, "alpha": exp["alpha"]})
     text = ", ".join(f"P({e.side})={e.estimate:.3f}" for e in estimates)
     return f"low-eigenvalue hit rates: {text}", None
 
 
-def _run_theta_bounds(model, exp, execution, sink, mapper):
-    avg, fixed = theta_bounds_check(
-        model, exp["half_width"], exp["energy"], execution["realizations"],
-        exp["theta_resolution"], exp["theta0"], exp["xi"], map_fn=mapper,
-        threads=execution["threads"],
+def _run_theta_bounds(model, exp, execution, sink):
+    l = exp["half_width"]
+    nodes, energies, reports = _theta_bounds(
+        model, l, exp["energy"], exp["theta_resolution"], exp["theta0"], exp["xi"]
     )
+    row_bytes = 8 * len(nodes) * model.grid(2 * l + 1).n_points  # its spectra
+    avg, fixed = reports(_map_rows(partial(model.zone_counts, l, nodes, energies),
+                                   execution["realizations"], row_bytes, execution["threads"]))
     payload: dict = {"average": avg, "average_passed": avg.passed}
     passed = avg.passed
     parts = [f"zone-average slack {avg.slack:+.3e}"]
@@ -400,7 +407,7 @@ def _run_theta_bounds(model, exp, execution, sink, mapper):
     return "; ".join(parts), check
 
 
-def _run_msa_schedule(model, exp, execution, sink, mapper):
+def _run_msa_schedule(model, exp, execution, sink):
     sched = msa_schedule(
         exp["l0"], exp["m0"], exp["q0"], exp["zeta"], exp["steps"],
         c1=exp["c1"], c2=exp["c2"], c3=exp["c3"], xi=exp["xi"],
@@ -432,15 +439,15 @@ def _run_msa_schedule(model, exp, execution, sink, mapper):
     )
 
 
-def _run_m_regularity(model, exp, execution, sink, mapper):
+def _run_m_regularity(model, exp, execution, sink):
     m = execution["realizations"]
     worker = partial(
         _regularity, model, exp["side"], exp["energy"], exp["delta"], exp["mass"],
         exp["eps_probes"],
     )
-    rows = mapper(worker, range(m))
-    passes = sum(1 for r in rows if r[0])
-    suprema = [r[1] for r in rows]
+    rows = _map_rows(partial(_each, worker), m, 8 * 3, execution["threads"])
+    passes = int(np.count_nonzero(rows[:, 0]))
+    suprema = rows[:, 1].tolist()
     sink.write_json(
         "regularity.json",
         {
@@ -448,7 +455,7 @@ def _run_m_regularity(model, exp, execution, sink, mapper):
             "passes": passes,
             "pass_rate": passes / m,
             "suprema": suprema,
-            "threshold": rows[0][2],
+            "threshold": rows[0, 2],
         },
     )
     return f"{passes}/{m} realizations ({exp['side']},{exp['mass']})-regular", None
@@ -504,10 +511,7 @@ def run(config: dict, out_root: str | None = None) -> ResultEnvelope:
                       sort_keys=True)
         sink = OutputSink(directory, {"config": digest, "kind": kind,
                                       "version": VERSION})
-        mapper = parallel_map(execution["threads"])
-        summary, check = _DISPATCH[kind](
-            model, resolved["experiment"], execution, sink, mapper
-        )
+        summary, check = _DISPATCH[kind](model, resolved["experiment"], execution, sink)
     except Exception as exc:
         (directory / "FAILED").write_text(
             f"{type(exc).__name__}: {exc}\n", encoding="utf-8"

@@ -3,7 +3,9 @@
 import copy
 import json
 import math
+import multiprocessing.pool
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,13 @@ def _ids_config():
         },
         "execution": {"master_seed": 7, "realizations": 3},
     }
+
+
+def _ids_dirichlet_config():
+    config = _ids_config()
+    config["experiment"] = {"kind": "ids", "method": "dirichlet", "cells": 20,
+                            "energy_min": 0.0, "energy_max": 4.2, "energy_points": 11}
+    return config
 
 
 def _gap_prob_config():
@@ -618,6 +627,33 @@ class TestCli:
         assert "numerical failure:" in err
         assert message in err
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("model", "dimension", 2), ("experiment", "xi", 0.9), ("experiment", "xi", 1.0),
+        ("experiment", "steps", 13), ("experiment", "steps", 40),
+    ])
+    def test_msa_schedule_mutants_exit_two_or_write_finite_payloads(
+        self, tmp_path, capsys, block, key, value
+    ):
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "msa_schedule.yaml"
+        config = yaml.safe_load(shipped.read_text(encoding="utf-8"))
+        config[block][key] = value
+        out = tmp_path / "runs"
+        code = main(["msa-schedule", "--config", _write(tmp_path, config), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            (run_dir,) = out.iterdir()
+
+            def refuse(constant):
+                raise AssertionError(f"schedule.json holds {constant}")
+
+            body = json.loads((run_dir / "schedule.json").read_text(encoding="ascii"),
+                              parse_constant=refuse)
+            assert all(map(math.isfinite, body["masses"] + body["exponents"]))
+            rows = (run_dir / "schedule.csv").read_text(encoding="ascii").splitlines()
+            values = [float(v) for row in rows if row[0].isdigit() for v in row.split(",")[2:]]
+            assert len(values) == 2 * (config["experiment"]["steps"] + 1)
+            assert all(map(math.isfinite, values))
+
     @pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
     def test_other_exceptions_are_not_numerical_failures(self, tmp_path, monkeypatch,
                                                          error):
@@ -675,6 +711,26 @@ class TestCli:
         for name, entry in serial["payloads"].items():
             assert set(entry) == {"path", "sha256"}
             assert len(entry["sha256"]) == 64
+
+    @pytest.mark.parametrize(
+        "config",
+        [_ids_config(), _ids_dirichlet_config(), _gap_prob_config(), _theta_bounds_config(),
+         _lifshitz_config(), _ids_diff_config(), _hs_check_config(), _m_regularity_config()],
+        ids=["ids", "ids-dirichlet", "gap-prob", "theta-bounds", "lifshitz", "ids-diff",
+             "hs-check", "m-regularity"],
+    )
+    def test_a_run_starts_at_most_one_pool(self, tmp_path, monkeypatch, config):
+        starts = []
+        init = multiprocessing.pool.Pool.__init__
+
+        def counted(self, *args, **kwargs):
+            starts.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counted)
+        config["execution"]["threads"] = 2
+        runner.run(config, out_root=str(tmp_path))
+        assert len(starts) <= 1
 
     @pytest.mark.parametrize("config", [
         _gap_prob_config(),

@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -425,7 +426,8 @@ def _dirichlet_config(kind, points_per_cell):
 
 class TestChunkedDifferenceRows:
     """ids-diff solves a chunk of realizations at a time; each row must be
-    the functionals of its own realization, bit for bit."""
+    the functionals of its own realization, bit for bit.  Every kind that
+    maps chunks writes the same bytes with one item per chunk."""
 
     @pytest.mark.parametrize("dimension, points_per_cell", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_rows_equal_the_per_realization_functionals(self, dimension, points_per_cell):
@@ -446,28 +448,36 @@ class TestChunkedDifferenceRows:
         ("ids_diff_1d.yaml", {"half_widths": [2, 4], "reference_half_width": 16}),
         ("theta_bounds_1d.yaml", {"half_width": 4}),
         ("gap_prob_1d.yaml", {"sides": [5, 9]}),
+        ("ids_brillouin_1d.yaml", {}),
+        ("hs_check.yaml", {"matrices": 5}),
+        ("m_regularity_1d.yaml", {}),
     ])
     def test_one_realization_per_chunk_writes_the_same_bytes(
         self, tmp_path, monkeypatch, config_name, changes
     ):
         config = load_config(str(CONFIG_DIR / config_name))
         config["experiment"].update(changes)
-        config["execution"].update(realizations=5, threads=1)
+        config["execution"]["threads"] = 1
+        if "matrices" not in changes:
+            config["execution"]["realizations"] = 5
         chunks = []
-        zone_spectra = AndersonModel.zone_spectra
+        parallel_map = runner.parallel_map
 
-        def counted(self, half_width, nodes, realization=0, sample=None):
-            if np.ndim(realization) == 1:
-                chunks.append(len(realization))
-            return zone_spectra(self, half_width, nodes, realization, sample)
+        def recorded(threads):
+            mapper = parallel_map(threads)
 
-        monkeypatch.setattr(AndersonModel, "zone_spectra", counted)
+            def record(fn, items):
+                chunks.append([len(chunk) for chunk in items])
+                return mapper(fn, items)
+
+            return record
+
+        monkeypatch.setattr(runner, "parallel_map", recorded)
         whole = run(config, out_root=str(tmp_path / "whole")).payloads
-        assert max(chunks) == 5
         monkeypatch.setattr(hamiltonian, "_CHAIN_BYTES", 1)
-        chunks.clear()
         split = run(config, out_root=str(tmp_path / "split")).payloads
-        assert set(chunks) == {1}
+        # one map per run: one chunk of all five items, then five of one
+        assert chunks == [[5], [1] * 5]
         assert split == whole
 
 
@@ -480,8 +490,10 @@ class TestChunkedDirichletRows:
     def test_rows_equal_each_box_and_its_dense_count(self, kind, points_per_cell):
         config, energies = _dirichlet_config(kind, points_per_cell)
         model, exp = build_model(resolve_config(config)), config["experiment"]
-        # three chunks of 1 or 2 realizations, as three threads would map them
-        rows = runner._dirichlet_ids(model, exp["cells"], energies, 5, 3, runner.parallel_map(1))
+        # chunks of 1, 2 and 2 realizations: the bytes of two rows fill a chunk
+        counts = runner._map_rows(partial(model.dirichlet_counts, exp["cells"], energies), 5,
+                                  hamiltonian._CHAIN_BYTES // 2, 1)
+        rows = counts / model.grid(exp["cells"]).volume
         assert rows.shape == (5, len(energies))
         for r, row in enumerate(rows):
             h = model.anderson_box(exp["cells"], BoundaryCondition.dirichlet(), r)

@@ -24,6 +24,7 @@ from randschrod import (
 from randschrod import hamiltonian
 from randschrod import model as model_module
 from randschrod.disorder import DisorderModel
+from randschrod.hamiltonian import NumericalFailure
 from randschrod.probes import _next_scale
 
 
@@ -290,6 +291,31 @@ class TestMsaSchedule:
     def test_stalling_recursion_is_detected(self):
         with pytest.raises(ValueError, match="stall"):
             msa_schedule(l0=6, m0=1.0, q0=-2.0, zeta=1.01, steps=1)
+
+    def test_zeta_one_point_nine_scales_are_certified(self):
+        # the double 1.9 is 4278419646001971 / 2^51, so l^zeta has no floor in
+        # exact integers at these sizes; an interval enclosure at four times
+        # the bits of each scale brackets it instead.  From 72 digits on, a
+        # fixed 160-bit power misses the floor
+        from mpmath import iv
+
+        s = msa_schedule(l0=33, m0=1.0, q0=-2.0, zeta=1.9, steps=8)
+        assert len(str(s.scales[-1])) == 258
+        precision = iv.prec
+        try:
+            for l, nxt in zip(s.scales, s.scales[1:]):
+                iv.prec = 4 * nxt.bit_length() + 64
+                power = iv.exp(iv.mpf(1.9) * iv.log(iv.mpf(l)))
+                assert nxt % 3 == 0 and nxt <= power.a and power.b < nxt + 3, l
+        finally:
+            iv.prec = precision
+
+    def test_scales_beyond_the_double_range_are_a_numerical_failure(self):
+        # the thirteenth scale from 33 at zeta 1.5 has 296 digits, the fourteenth 444
+        s = msa_schedule(l0=33, m0=1.0, q0=-2.0, zeta=1.5, steps=13)
+        assert all(map(math.isfinite, s.masses + s.exponents))
+        with pytest.raises(NumericalFailure, match="double range"):
+            msa_schedule(l0=33, m0=1.0, q0=-2.0, zeta=1.5, steps=14)
 
     @given(k=st.integers(2, 400))
     @settings(max_examples=80, deadline=None)
