@@ -17,7 +17,6 @@ from randschrod.hscalc import (
     AlmostAnalyticExtension,
     CutoffFunction,
     QuadratureSpec,
-    SmoothCompactFunction,
     dbar_bound_check,
     extend,
     hs_transform,
