@@ -1,10 +1,10 @@
 """Command-line front end.
 
-One subcommand per experiment kind; every subcommand takes the same
-flags and requires a config file whose experiment.kind matches the
-subcommand.  Exit codes: 0 success, 2 validation failure, 3 numerical
-failure (NumericalFailure or LinAlgError), 4 a checked inequality or
-assertion did not hold.  Any other exception is a bug and propagates.
+The first argument names the experiment kind; every kind takes the same
+flags and requires a config file whose experiment.kind matches it.
+Exit codes: 0 success, 2 validation failure, 3 numerical failure
+(NumericalFailure or LinAlgError), 4 a checked inequality or assertion
+did not hold.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -30,18 +30,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="randschrod",
         description="Numerical experiments on random Schroedinger operators",
     )
-    sub = parser.add_subparsers(dest="kind", required=True, metavar="EXPERIMENT")
-    for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} config")
-        p.add_argument("--config", required=True, help="YAML config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override execution.master_seed")
-        p.add_argument("--out", default=None,
-                       help="override the output root directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="override execution.threads")
-        p.add_argument("--validate-only", action="store_true",
-                       help="check the config and exit without computing")
+    parser.add_argument("kind", choices=EXPERIMENT_KINDS, metavar="EXPERIMENT",
+                        help="experiment kind: " + ", ".join(EXPERIMENT_KINDS))
+    parser.add_argument("--config", required=True, help="YAML config file")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override execution.master_seed")
+    parser.add_argument("--out", default=None,
+                        help="override the output root directory")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="override execution.threads")
+    parser.add_argument("--validate-only", action="store_true",
+                        help="check the config and exit without computing")
     return parser
 
 
@@ -75,7 +74,7 @@ def main(argv=None) -> int:
     if declared is not None and declared != args.kind:
         print(
             f"config error: experiment.kind: config declares {declared!r} "
-            f"but the {args.kind!r} subcommand was invoked",
+            f"but the command line names {args.kind!r}",
             file=sys.stderr,
         )
         return EXIT_VALIDATION

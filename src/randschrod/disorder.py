@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 __all__ = [
     "DisorderModel",
@@ -86,6 +85,8 @@ class DisorderModel:
     def draw(self, sites: np.ndarray, realization: int) -> np.ndarray:
         u = _uniform01(self.master_seed, realization, sites)
         if self.law == "beta":
+            from scipy.special import betaincinv
+
             u = betaincinv(self.beta_a, self.beta_b, u)
         return self.omega_max * u
 

@@ -13,13 +13,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .disorder import DisorderSample
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "SOLVER_BUDGET_POINTS",
@@ -466,6 +467,8 @@ class AssembledHamiltonian:
             if upper is None:
                 return w
             return w[: int(self.count_below([upper])[0])]
+        import scipy.linalg
+
         w = scipy.linalg.eigvalsh(self.dense())
         if upper is not None:
             w = w[w < upper]
@@ -524,6 +527,8 @@ class AssembledHamiltonian:
 
     def with_potential(self, v: np.ndarray) -> "AssembledHamiltonian":
         """This operator plus the multiplication by ``v`` (one value per grid point)."""
+        import scipy.sparse
+
         mat = (self.matrix + scipy.sparse.diags(v.astype(self.matrix.dtype))).tocsr()
         return AssembledHamiltonian(mat, self.grid, self.bc)
 
@@ -631,6 +636,8 @@ def chain_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """
     if len(diag) == 1:
         return diag.copy()  # the wrapper refuses an empty off-diagonal
+    import scipy.linalg
+
     w, info = scipy.linalg.lapack.dsterf(diag, off)
     if info != 0:
         raise NumericalFailure(f"dsterf: {info} off-diagonal entries did not converge to zero")
@@ -660,6 +667,8 @@ def _wrap_hop(w: float, phase):
 
 
 def _laplacian(grid: GridSpec, bc: BoundaryCondition) -> scipy.sparse.csr_matrix:
+    import scipy.sparse
+
     n = grid.n_points
     idx = np.arange(n).reshape(grid.shape)
     is_complex = bc.kind == "theta"
@@ -704,6 +713,8 @@ def assemble_h0(
         raise ValueError(
             f"theta has {len(bc.theta)} components for dimension {grid.dimension}"
         )
+    import scipy.sparse
+
     lap = _laplacian(grid, bc)
     diag = v0.tile(grid)
     mat = (lap + scipy.sparse.diags(diag.astype(lap.dtype))).tocsr()

@@ -10,18 +10,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .bands import brillouin_zone
 from .hamiltonian import AssembledHamiltonian, GridSpec, NumericalFailure
 from .hscalc import smoothstep
 from .ids import mean_stderr
 from .model import AndersonModel
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "ResolventDecayProfile",
@@ -108,6 +108,10 @@ def combes_thomas_profile(
     squares fit of log norm against sup-norm cell distance, ignoring
     norms that fell below ``norm_floor`` (double precision noise).
     """
+    import scipy.linalg
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     grid = h.grid
     evals = h.eigenvalues()
     dist = float(np.min(np.abs(evals - z)))
@@ -482,7 +486,8 @@ def msa_schedule(
     and the exponent solves
     l_{j+1}^{q_{j+1}} = c3 (l_{j+1}/l_j)^{2d} l_j^{2 q_j} + l_{j+1}^{-xi}/2.
     The scales are exact integers; a scale beyond the largest double is a
-    NumericalFailure, since the masses and exponents are doubles.
+    NumericalFailure, since the masses and exponents are doubles, and so
+    is a mass or exponent that is not finite.
     """
     if not 1.0 < zeta < 2.0:
         raise ValueError(f"scaling exponent must lie in ]1,2[, got {zeta}")
@@ -511,6 +516,9 @@ def msa_schedule(
             math.log(c3) + 2 * d * (log_next - log_l) + 2 * q * log_l,
             math.log(0.5) - xi * log_next,
         )) / log_next
+        if not (math.isfinite(m_next) and math.isfinite(q_next)):
+            raise NumericalFailure(
+                f"step {step} leaves the double range: mass {m_next}, exponent {q_next}")
         scales.append(l_next)
         masses.append(m_next)
         exponents.append(q_next)
@@ -541,8 +549,10 @@ def core_indicator(grid: GridSpec, radius: float) -> np.ndarray:
     return np.max(np.abs(grid.points()), axis=1) <= radius + 1e-12
 
 
-def laplacian_commutator(h: AssembledHamiltonian, phi: np.ndarray) -> sp.csr_matrix:
+def laplacian_commutator(h: AssembledHamiltonian, phi: np.ndarray) -> scipy.sparse.csr_matrix:
     """[H, diag(phi)] = [-Laplacian, phi]; the potential part commutes away."""
+    import scipy.sparse as sp
+
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (h.n,):
         raise ValueError(f"profile must have {h.n} entries")
@@ -583,6 +593,10 @@ def m_regularity_test(
     The supremum over the epsilon probes is a lower bound for the true
     sup over eps != 0, so a pass is one-sided evidence.
     """
+    import scipy.linalg
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     grid = h_box.grid
     if len(set(grid.cells)) != 1:
         raise ValueError("regularity test expects a cube")

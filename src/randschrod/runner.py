@@ -10,6 +10,7 @@ the library versions and is the one file excluded from that contract.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import multiprocessing
@@ -61,19 +62,25 @@ __all__ = [
 
 VERSION = "0.1.0"
 
+# every scipy module that a function of the package imports where it calls it;
+# a pool imports them before it forks, so no worker imports one per task
+_SCIPY_MODULES = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "scipy.special")
+
 
 def parallel_map(threads: int):
     """Order-preserving map; a process pool when threads > 1.
 
     Work items are dispatched by index and collected in submission
     order, so reductions downstream see the same sequence regardless of
-    the worker count.
+    the worker count.  A pool imports ``_SCIPY_MODULES`` before it forks.
     """
 
     def mapper(fn, items):
         items = list(items)
         if threads <= 1 or len(items) <= 1:
             return [fn(x) for x in items]
+        for name in _SCIPY_MODULES:
+            importlib.import_module(name)
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(threads, len(items))) as pool:
             return pool.map(fn, items, chunksize=1)

@@ -58,3 +58,29 @@ def test_a_file_of_fewer_pairs_is_refused():
                 m[side] = bench_pairs.summary(m[side]["runs"][:1])
     problems = bench_pairs.check_bench_file(doc, RUN_SECONDS)
     assert any(p.endswith(".pairs: expected 10, got 1") for p in problems)
+
+
+def _shipped_blocks(doc):
+    """The shipped-config blocks of ``doc`` that hold runs."""
+    return [entry[side] for entry in doc["shipped"].values() for side in bench_pairs.SIDES
+            if "runs" in entry[side]]
+
+
+def test_process_seconds_are_checked_where_recorded():
+    # files written before tools/bench_pairs.py timed whole CLI processes
+    # carry no shipped process_s and stay valid (the schema test above
+    # checks them all); a file that has it must give a sound summary with
+    # one run per wall_time_s run
+    docs = [json.loads(path.read_text(encoding="ascii")) for path in BENCH_FILES]
+    older = [doc for doc in docs if not any("process_s" in b for b in _shipped_blocks(doc))]
+    assert len(older) >= 4
+    doc = older[0]
+    blocks = _shipped_blocks(doc)
+    for block in blocks:
+        block["process_s"] = bench_pairs.summary([v + 0.5 for v in block["runs"]])
+    assert bench_pairs.check_bench_file(doc, RUN_SECONDS) == []
+    blocks[0]["process_s"]["runs"].pop()
+    blocks[1]["process_s"]["q1"] = "fast"
+    problems = bench_pairs.check_bench_file(doc, RUN_SECONDS)
+    assert any(p.endswith("process_s: expected one run per wall_time_s run") for p in problems)
+    assert any(p.endswith("process_s.q1: expected a number") for p in problems)

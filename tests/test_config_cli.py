@@ -14,8 +14,9 @@ import yaml
 from randschrod import hamiltonian
 from randschrod import model as model_module
 from randschrod import runner
-from randschrod.cli import main
+from randschrod.cli import _build_parser, main
 from randschrod.config import (
+    EXPERIMENT_KINDS,
     ConfigError,
     build_model,
     config_hash,
@@ -455,6 +456,18 @@ class TestCli:
         assert "declares" in err
         assert "'ids'" in err
 
+    def test_every_kind_parses_and_an_unknown_kind_exits_two(self, capsys):
+        parser = _build_parser()
+        for kind in EXPERIMENT_KINDS:
+            args = parser.parse_args([kind, "--config", "c.yaml", "--seed", "3", "--threads",
+                                      "2", "--out", "runs", "--validate-only"])
+            assert vars(args) == {"kind": kind, "config": "c.yaml", "seed": 3, "threads": 2,
+                                  "out": "runs", "validate_only": True}
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-kind", "--config", "c.yaml"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'no-such-kind'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("experiment,message", [
         ({"kind": "bandstructure", "half_width": 0, "num_bands": 3},
          "experiment.num_bands: must be <= 2"),
@@ -606,6 +619,7 @@ class TestCli:
         ("combes_thomas", "sits on the spectrum"),
         ("m_regularity", "zero probe would be singular"),
         ("msa_schedule", "recursion stalls"),
+        ("msa_exponent", "step 1 leaves the double range"),
     ])
     def test_numerical_failure_sites_exit_three(self, tmp_path, capsys, site, message):
         config = {
@@ -616,10 +630,16 @@ class TestCli:
                 {"kind": "m-regularity", "side": 25, "energy": 2.0, "mass": 0.2,
                  "eps_probes": [0.0]}, realizations=1),
             "msa_schedule": _msa_config(zeta=1.01),
+            "msa_exponent": yaml.safe_load(
+                (Path(__file__).resolve().parent.parent / "configs" / "msa_schedule.yaml")
+                .read_text(encoding="utf-8")),
         }[site]
         if site == "lifshitz_fit":
             # two energies carry IDS mass in [0.01, 0.06]: too few to fit
             config["experiment"].update(mass_low=0.01, mass_high=0.06)
+        if site == "msa_exponent":
+            # the shipped schedule with q0 near the double range: 2 q0 log l0 overflows
+            config["experiment"]["q0"] = 1e308
         kind = config["experiment"]["kind"]
         path = _write(tmp_path, config)
         assert main([kind, "--config", path, "--out", str(tmp_path / "runs")]) == 3

@@ -151,6 +151,30 @@ def test_libyaml_writes_what_the_python_dumper_does():
                 assert yaml.dump(doc, Dumper=dumper, sort_keys=True) == text, label
 
 
+
+def _typed(node):
+    """``node`` with the type of every value beside it, so 1 and 1.0 and True differ."""
+    if isinstance(node, dict):
+        return {key: _typed(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_typed(value) for value in node]
+    return type(node).__name__, node
+
+
+def test_libyaml_reads_what_the_python_loader_does():
+    # load_config parses with libyaml where PyYAML has it: every shipped
+    # file and every mutant, dumped to YAML, must give the pure-Python
+    # loader's objects, types included
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        base = yaml.safe_load(text)
+        assert _typed(yaml.load(text, Loader=loader)) == _typed(base), path.name
+        for label, config in _mutants(base):
+            text = yaml.safe_dump(config, sort_keys=True)
+            assert _typed(yaml.load(text, Loader=loader)) == _typed(yaml.safe_load(text)), label
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     records = generate()
     lines = (f"{json.dumps(key)}: {json.dumps(records[key])}" for key in sorted(records))

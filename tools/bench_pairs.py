@@ -9,12 +9,13 @@ run there exactly as it is, for ``run_seconds`` of BENCHMARK.json, once per
 side for each of 10 pairs and every workload.  Odd pairs run the parent
 first and even pairs the change; pair i uses the seed ``seed_base + i`` on
 both sides.  Then each shipped config under ``configs/`` runs 5 times per
-side, alternating in the same way, at 1 thread, and its ``wall_time_s`` is
-read from result.json.
+side, alternating in the same way, at 1 thread.  Its ``wall_time_s`` is
+read from result.json and starts after the model is built; ``process_s``
+times the whole CLI process, interpreter start and imports included.
 
 The file holds a machine block, the per-workload metrics (median and
 quartiles of each side, pairs where the change was lower, failed and
-attempted operations) and the shipped-config wall times.  A gain counts
+attempted operations) and the shipped-config wall and process times.  A gain counts
 when the change is better in at least 9 of 10 pairs and the medians differ
 by more than the parent's interquartile range (``gain_shown``).
 """
@@ -116,20 +117,24 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def shipped_once(tree: Path, config: Path, out_root: Path) -> tuple[float | None, int]:
-    """(wall_time_s from result.json or None, exit code) of one CLI run at 1 thread."""
+def shipped_once(tree: Path, config: Path,
+                 out_root: Path) -> tuple[float | None, float, int]:
+    """(wall_time_s from result.json or None, seconds of the whole process,
+    exit code) of one CLI run at 1 thread."""
     import yaml
 
     kind = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]["kind"]
     env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": str(tree / "src")}
+    started = time.perf_counter()
     out = subprocess.run(
         [sys.executable, "-m", "randschrod.cli", kind, "--config", str(config), "--threads",
          "1", "--out", str(out_root)],
         cwd=tree, env=env, capture_output=True, text=True, timeout=1800,
     )
+    process_s = time.perf_counter() - started
     results = list(out_root.glob("*/result.json"))
     wall = json.loads(results[0].read_text())["wall_time_s"] if len(results) == 1 else None
-    return wall, out.returncode
+    return wall, process_s, out.returncode
 
 
 def _alternate(index: int) -> tuple[str, str]:
@@ -171,18 +176,20 @@ def run_shipped(trees: dict, work: Path) -> dict:
     configs = sorted((trees["change"] / "configs").glob("*.yaml"))
     for config in configs:
         walls = {side: [] for side in SIDES}
+        processes = {side: [] for side in SIDES}
         failed = {side: 0 for side in SIDES}
         for i in range(SHIPPED_RUNS):
             for side in _alternate(i):
                 out_root = work / "shipped" / f"{config.stem}-{side}-{i}"
-                wall, code = shipped_once(trees[side], trees[side] / "configs" / config.name,
-                                          out_root)
+                wall, process_s, code = shipped_once(
+                    trees[side], trees[side] / "configs" / config.name, out_root)
                 failed[side] += code != 0
                 if wall is not None:
                     walls[side].append(wall)
+                    processes[side].append(process_s)
         shipped[config.stem] = {
-            side: {**summary(walls[side]), "failed": failed[side],
-                   "attempted": SHIPPED_RUNS} if walls[side] else
+            side: {**summary(walls[side]), "process_s": summary(processes[side]),
+                   "failed": failed[side], "attempted": SHIPPED_RUNS} if walls[side] else
                   {"failed": failed[side], "attempted": SHIPPED_RUNS}
             for side in SIDES}
         print(f"{config.stem}: " + ", ".join(
@@ -207,7 +214,9 @@ def report(doc: dict) -> None:
                   f"{'yes' if m['gain_shown'] else 'no'}")
     for stem, entry in doc["shipped"].items():
         print(f"shipped {stem:24} " + "  ".join(
-            f"{side} {entry[side].get('median', math.nan):.4g} s" for side in SIDES))
+            f"{side} {entry[side].get('median', math.nan):.4g} s "
+            f"(process {entry[side].get('process_s', {}).get('median', math.nan):.4g} s)"
+            for side in SIDES))
 
 
 def _check_summary(where: str, block, problems: list[str]) -> None:
@@ -303,6 +312,15 @@ def check_bench_file(doc, run_seconds: float) -> list[str]:
                 problems.append(f"shipped.{stem}.{side}: expected {SHIPPED_RUNS} attempted runs")
             elif "runs" in block:
                 _check_summary(f"shipped.{stem}.{side}", block, problems)
+                # files written before process_s was recorded have none
+                process = block.get("process_s")
+                if process is not None:
+                    where = f"shipped.{stem}.{side}.process_s"
+                    _check_summary(where, process, problems)
+                    runs = process.get("runs") if isinstance(process, dict) else None
+                    if (isinstance(runs, list) and isinstance(block["runs"], list)
+                            and len(runs) != len(block["runs"])):
+                        problems.append(f"{where}: expected one run per wall_time_s run")
     return problems
 
 
