@@ -29,7 +29,6 @@ from .hamiltonian import (
     assemble_anderson,
     assemble_h0,
     assemble_periodic_approx,
-    validate_single_site,
 )
 from .hscalc import (
     AlmostAnalyticExtension,
@@ -60,7 +59,6 @@ from .probes import (
     alpha_n_feasible,
     combes_thomas_profile,
     fixed_theta_check,
-    gap_probability,
     m_regularity_test,
     msa_schedule,
     theta_average_check,
@@ -110,7 +108,6 @@ __all__ = [
     "extend",
     "find_band_edges",
     "fixed_theta_check",
-    "gap_probability",
     "hs_transform",
     "ids_difference_experiment",
     "ids_dirichlet_box",
@@ -130,6 +127,5 @@ __all__ = [
     "smoothstep",
     "theta_average_check",
     "theta_bounds_check",
-    "validate_single_site",
     "wilson_interval",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "compute_bands",
     "find_band_edges",
     "check_regularity",
-    "write_band_csv",
 ]
 
 
@@ -284,21 +283,3 @@ def check_regularity(
         regular=regular,
         fd_step=fd_step,
     )
-
-
-def write_band_csv(bands: BandStructure, path: str, metadata: dict | None = None) -> None:
-    """Columns theta_1..theta_d, n, E; one row per grid point and band."""
-    d = bands.dimension
-    with open(path, "w", encoding="ascii") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}={val}\n")
-        header = ",".join([f"theta_{j + 1}" for j in range(d)] + ["n", "E"])
-        fh.write(header + "\n")
-        shape = bands.energies.shape[:-1]
-        for index in itertools.product(*(range(s) for s in shape)):
-            theta = [bands.axes[j][index[j]] for j in range(d)]
-            for n in range(bands.num_bands):
-                cols = [repr(float(t)) for t in theta]
-                cols.append(str(n))
-                cols.append(repr(float(bands.energies[index + (n,)])))
-                fh.write(",".join(cols) + "\n")

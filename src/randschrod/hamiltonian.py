@@ -29,7 +29,6 @@ __all__ = [
     "BoundaryCondition",
     "PeriodicPotential",
     "SingleSitePotential",
-    "SingleSiteReport",
     "AssembledHamiltonian",
     "assemble_h0",
     "assemble_anderson",
@@ -38,7 +37,6 @@ __all__ = [
     "folded_potential",
     "realization_chunks",
     "sturm_bytes",
-    "validate_single_site",
     "site_ranges",
 ]
 
@@ -343,67 +341,6 @@ class SingleSitePotential:
             delta3=delta3,
             radius=radius,
         )
-
-
-@dataclass(frozen=True)
-class SingleSiteReport:
-    """Outcome of validate_single_site; carries pass/fail, never raises."""
-
-    passed: bool
-    messages: tuple[str, ...]
-    min_core_value: float
-    worst_tail_excess: float
-
-
-def validate_single_site(
-    u: SingleSitePotential, points_per_cell: int = 8, dimension: int = 1
-) -> SingleSiteReport:
-    """Check nonnegativity, the core lower bound, and the tail envelope.
-
-    Samples u on the assembly mesh out to the truncation radius and
-    reports the first violation location of each kind.
-    """
-    h = 1.0 / points_per_cell
-    n = int(math.ceil(u.radius / h)) + 1
-    axis = h * np.arange(-n, n + 1)
-    grids = np.meshgrid(*([axis] * dimension), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = u.evaluate(pts)
-    sup = np.max(np.abs(pts), axis=-1)
-
-    messages: list[str] = []
-    tol = 1e-12
-
-    neg = vals < -tol
-    if np.any(neg):
-        i = int(np.argmax(neg))
-        messages.append(f"u < 0 at x = {tuple(pts[i])} (value {vals[i]:.3e})")
-
-    core = sup < u.core_diameter / 2.0 - tol
-    min_core = float(np.min(vals[core])) if np.any(core) else math.inf
-    if np.any(core) and min_core < u.delta1 - tol:
-        i = int(np.argmin(np.where(core, vals, math.inf)))
-        messages.append(
-            f"core bound violated at x = {tuple(pts[i])}: {min_core:.6g} < delta1 = {u.delta1}"
-        )
-
-    tail = (~core) & (sup <= u.radius + tol)
-    envelope = u.delta2 * np.exp(-u.delta3 * sup)
-    excess = np.abs(vals) - envelope * (1.0 + 1e-9)
-    worst = float(np.max(excess[tail])) if np.any(tail) else -math.inf
-    if np.any(tail) and worst > tol:
-        i = int(np.argmax(np.where(tail, excess, -math.inf)))
-        messages.append(
-            f"tail envelope violated at x = {tuple(pts[i])}: "
-            f"|u| exceeds delta2*exp(-delta3*|x|) by {worst:.3e}"
-        )
-
-    return SingleSiteReport(
-        passed=not messages,
-        messages=tuple(messages),
-        min_core_value=min_core,
-        worst_tail_excess=worst,
-    )
 
 
 @dataclass(frozen=True)

@@ -94,10 +94,6 @@ class SmoothCompactFunction:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     @property
-    def support_length(self) -> float:
-        return float(self.breakpoints[-1] - self.breakpoints[0])
-
-    @property
     def support_radius(self) -> float:
         a, b = self.support
         return max(abs(a), abs(b))
@@ -141,14 +137,6 @@ class SmoothCompactFunction:
     def seminorm(self, n: int) -> float:
         """Sum of derivative sup-norms through order n."""
         return float(sum(self.sup_norm(r) for r in range(n + 1)))
-
-    def multiplied_by(self, poly: Polynomial, label: str = "") -> "SmoothCompactFunction":
-        # re-express the multiplier in each piece's local coordinates;
-        # global coefficients of high-degree pieces are ill-conditioned
-        pieces = tuple(
-            p * poly.convert(domain=p.domain, window=p.window) for p in self.pieces
-        )
-        return replace(self, pieces=pieces, label=label or self.label)
 
     def __mul__(self, scalar: float) -> "SmoothCompactFunction":
         s = float(scalar)

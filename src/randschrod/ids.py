@@ -316,7 +316,9 @@ def lifshitz_fit(
     dof = max(len(x) - 2, 1)
     s2 = float(np.sum(resid**2)) / dof
     sxx = float(np.sum((x - x.mean()) ** 2))
-    half = 1.96 * math.sqrt(s2 / sxx) if sxx > 0 else math.inf
+    if sxx == 0.0:
+        raise NumericalFailure("the fit window spans one energy; no slope to fit")
+    half = 1.96 * math.sqrt(s2 / sxx)
     return LifshitzFit(
         exponent=slope,
         confidence_halfwidth=half,
@@ -329,36 +331,18 @@ def lifshitz_fit(
     )
 
 
-def write_decay_csv(table: DecayTable, path: str, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write(f"# reference_half_width={table.reference_half_width}\n")
-        fh.write(f"# reference_value={table.reference_value!r}\n")
-        fh.write(f"# realizations={table.realizations}\n")
-        fh.write("l,delta,stderr,mean_functional,noise_floor\n")
-        for r in table.rows:
-            fh.write(
-                f"{r.half_width},{r.delta!r},{r.stderr!r},"
-                f"{r.mean_functional!r},{r.noise_floor!r}\n"
-            )
+# the layouts of ids.csv and decay.csv, handed to the run's ``runner.OutputSink``;
+# ``bench/tracing.py`` binds both names
 
 
-def write_ids_csv(
-    energies: np.ndarray,
-    mean: np.ndarray,
-    stderr: np.ndarray | None,
-    path: str,
-    metadata: dict | None = None,
-) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}={val}\n")
-        if stderr is None:
-            fh.write("E,N\n")
-            for e, m in zip(energies, mean):
-                fh.write(f"{float(e)!r},{float(m)!r}\n")
-        else:
-            fh.write("E,N,stderr\n")
-            for e, m, s in zip(energies, mean, stderr):
-                fh.write(f"{float(e)!r},{float(m)!r},{float(s)!r}\n")
+def write_decay_csv(sink, table: DecayTable) -> None:
+    notes = {"reference_half_width": table.reference_half_width,
+             "reference_value": table.reference_value, "realizations": table.realizations}
+    rows = [(r.half_width, r.delta, r.stderr, r.mean_functional, r.noise_floor)
+            for r in table.rows]
+    sink.write_csv("decay.csv", ("l", "delta", "stderr", "mean_functional", "noise_floor"),
+                   rows, notes)
+
+
+def write_ids_csv(sink, energies, mean, stderr) -> None:
+    sink.write_csv("ids.csv", ("E", "N", "stderr"), zip(energies, mean, stderr))

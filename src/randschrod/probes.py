@@ -32,7 +32,6 @@ __all__ = [
     "RegularityTestResult",
     "wilson_interval",
     "combes_thomas_profile",
-    "gap_probability",
     "theta_bounds_check",
     "theta_average_check",
     "fixed_theta_check",
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054
-_EDGE_TOLERANCE = 1e-6  # |band minimum| accepted as an edge at 0 by gap_probability
+_EDGE_TOLERANCE = 1e-6  # |band minimum| accepted as an edge at 0 by _gap_estimates
 
 
 def wilson_interval(hits: int, total: int, z: float = _Z95) -> tuple[float, float]:
@@ -87,12 +86,6 @@ class ResolventDecayProfile:
     r_squared: float
     dist_to_spectrum: float
     fitted_points: int
-
-    def norm_at(self, distance: int) -> float:
-        best = [n for d, n in zip(self.distances, self.norms) if d == distance]
-        if not best:
-            raise KeyError(f"no cell at distance {distance} in the profile")
-        return max(best)
 
 
 def combes_thomas_profile(
@@ -181,31 +174,14 @@ class GapProbabilityEstimate:
             raise ValueError("hits outside [0, samples]")
 
 
-def gap_probability(
-    model: AndersonModel,
-    side: int,
-    alpha: float,
-    realizations: int,
-    theta0: tuple[float, ...] | None = None,
-) -> GapProbabilityEstimate:
-    """P{an eigenvalue of the wrapped side-l box falls in [0, l^-alpha)}.
-
-    The box is the periodic approximation on ``side`` = 2l+1 cells per
-    axis, so couplings fold onto the torus, with periodic boundary
-    conditions, or theta-boundary conditions when ``theta0`` is given;
-    theta0 components are zone points with |theta| <= pi/side and
-    translate to a wrap phase of side * theta across the box.  The
-    ``gap-prob`` run takes every side of a realization in one row of
-    ``_gap_hits``; the hits are exact, so the estimate does not depend on
-    the chunking.
-    """
-    estimates = _gap_estimates(model, (side,), alpha, theta0)
-    return estimates(_gap_hits(model, (side,), alpha, theta0, range(realizations)))[0]
-
-
 def _gap_hits(model, sides, alpha, theta0, realizations) -> np.ndarray:
     """One row per realization of the chunk, one column per side: whether the
-    wrapped box of that side has an eigenvalue in [0, side^-alpha)."""
+    wrapped box of that side has an eigenvalue in [0, side^-alpha).
+
+    The box is the periodic approximation on ``side`` = 2l+1 cells per
+    axis, so couplings fold onto the torus, at theta = 0 or at the zone
+    point ``theta0`` (|theta| <= pi/side, a wrap phase of side * theta).
+    """
     # the Periodic box is the Bloch operator at theta = 0
     theta = (0.0,) * model.dimension if theta0 is None else theta0
     columns = []

@@ -5,14 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from randschrod import AndersonModel, brillouin_zone
-from randschrod.bands import (
-    BandStructure,
-    check_regularity,
-    compute_bands,
-    find_band_edges,
-    write_band_csv,
-)
+from randschrod import AndersonModel, brillouin_zone, runner
+from randschrod.bands import BandStructure, check_regularity, compute_bands, find_band_edges
 
 
 @pytest.fixture(scope="module")
@@ -133,13 +127,20 @@ class TestZoneGeometry:
         assert np.allclose(np.diff(axis), 2.0 * np.pi / 8.0)
 
 
-def test_band_csv_round_trip(tmp_path, free_bands_1d):
+def test_band_csv_round_trip(tmp_path):
+    # the bandstructure run's bands.csv, written through its OutputSink
+    sink = runner.OutputSink(tmp_path, {"kind": "bandstructure"})
+    exp = {"half_width": 0, "resolution": 257, "num_bands": 1, "realization": None,
+           "check_regularity": False}
+    runner._run_bandstructure(AndersonModel.free(omega_max=0.0), exp, {}, sink)
     path = tmp_path / "bands.csv"
-    write_band_csv(free_bands_1d, str(path))
+    assert set(sink.payloads) == {"bands.csv", "bands.json"}
     with open(path, newline="") as fh:
+        assert fh.readline() == "# kind=bandstructure\n"
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     header, data = rows[0], rows[1:]
-    assert header[0].startswith("theta")
+    assert header == ["theta_1", "n", "E"]
     assert len(data) == 257
+    assert {r[1] for r in data} == {"0"}  # the band index is an integer column
     first = [float(x) for x in data[0]]
     assert first[-1] == pytest.approx(2.0 - 2.0 * np.cos(first[0]), abs=1e-10)

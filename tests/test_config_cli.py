@@ -23,7 +23,8 @@ from randschrod.config import (
     resolve_config,
     validate_config,
 )
-from randschrod.hamiltonian import _cell_offsets
+from randschrod.hamiltonian import NumericalFailure, _cell_offsets
+from randschrod.ids import mean_stderr
 from randschrod.model import AndersonModel
 from randschrod.runner import environment
 
@@ -646,6 +647,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure:" in err
         assert message in err
+
+    def test_a_non_finite_payload_number_leaves_failed_and_exits_three(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a producer that returns NaN: the last mean of the ids run
+        def nan_mean(samples):
+            mean, stderr = mean_stderr(samples)
+            mean[-1] = math.nan
+            return mean, stderr
+
+        monkeypatch.setattr(runner, "mean_stderr", nan_mean)
+        config = _ids_dirichlet_config()
+        config["execution"]["threads"] = 1
+        with pytest.raises(NumericalFailure, match=r"^ids\.csv: column N is not finite$"):
+            runner.run(config, out_root=str(tmp_path / "run"))
+        (run_dir,) = (tmp_path / "run").iterdir()
+        assert (run_dir / "FAILED").read_text(encoding="utf-8") == (
+            "NumericalFailure: ids.csv: column N is not finite\n")
+        assert sorted(p.name for p in run_dir.iterdir()) == ["FAILED", "resolved_config.yaml"]
+
+        path = _write(tmp_path, config)
+        assert main(["ids", "--config", path, "--out", str(tmp_path / "cli")]) == 3
+        assert "numerical failure: ids.csv: column N is not finite" in capsys.readouterr().err
+        assert len(list((tmp_path / "cli").glob("*/FAILED"))) == 1
+
+    @pytest.mark.parametrize("errors, passed", [((1e-9, 0.0), True), ((2e-6, 0.0), False)])
+    def test_hs_check_with_exact_refined_errors_writes_a_null_gain(
+        self, tmp_path, monkeypatch, errors, passed
+    ):
+        # every refined error 0 leaves no gain to measure: the error bound decides
+        monkeypatch.setattr(runner, "_hs_error", lambda *args: errors)
+        config = _hs_check_config()
+        config["execution"]["threads"] = 1
+        envelope = runner.run(config, out_root=str(tmp_path))
+        body = json.loads((Path(envelope.directory) / "hs_check.json").read_text("ascii"))
+        assert body["refinement_gain"] is None
+        assert body["passed"] is passed and envelope.check_passed is passed
+        assert envelope.summary.endswith("refined errors all 0, the error bound alone decides")
 
     @pytest.mark.parametrize("block, key, value", [
         ("model", "dimension", 2), ("experiment", "xi", 0.9), ("experiment", "xi", 1.0),

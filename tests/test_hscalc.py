@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from numpy.polynomial import Polynomial
 
 from randschrod import runner
 from randschrod.config import load_config
@@ -178,12 +177,6 @@ class TestSmoothCompactAlgebra:
         s = g + g
         xs = np.linspace(-0.7, 1.7, 101)
         assert np.allclose(s(xs), 2.0 * g(xs), atol=1e-13)
-
-    def test_polynomial_multiplication_is_pointwise(self):
-        g = plateau_function(1.0, 2)
-        f = g.multiplied_by(Polynomial([0.0, 0.0, 1.0]))  # x^2
-        xs = np.linspace(-0.6, 1.6, 101)
-        assert np.allclose(f(xs), xs**2 * g(xs), atol=1e-12)
 
 
 class TestCutoff:

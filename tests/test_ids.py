@@ -24,7 +24,7 @@ from randschrod import (
     mass_window,
 )
 from randschrod.config import build_model, load_config, resolve_config
-from randschrod.hamiltonian import count_strictly_below
+from randschrod.hamiltonian import NumericalFailure, count_strictly_below
 from randschrod.hscalc import plateau_function
 from randschrod.ids import _difference_rows, mean_stderr
 from randschrod import hamiltonian, runner
@@ -356,6 +356,14 @@ class TestLifshitzFit:
         avg = self._average_from(lambda e: np.exp(-e ** -0.5), energies)
         with pytest.raises(ValueError, match="window"):
             lifshitz_fit(*avg, edge=0.0, window=(0.1, 0.1))
+
+    def test_a_window_of_one_energy_is_a_numerical_failure(self):
+        # one point has no spread in log(E - edge), so the slope has no error bar
+        energies = np.geomspace(1e-3, 1e-1, 10)
+        avg = self._average_from(lambda e: np.exp(-e ** -0.5), energies)
+        with pytest.raises(NumericalFailure, match="one energy"):
+            lifshitz_fit(*avg, edge=0.0, window=(energies[2], 1.01 * energies[2]),
+                         min_points=1)
 
     def test_average_must_start_at_the_edge(self):
         energies = np.geomspace(1e-3, 1e-1, 10)

@@ -15,7 +15,6 @@ from randschrod import (
     alpha_n_feasible,
     combes_thomas_profile,
     fixed_theta_check,
-    gap_probability,
     m_regularity_test,
     msa_schedule,
     theta_average_check,
@@ -25,7 +24,7 @@ from randschrod import hamiltonian
 from randschrod import model as model_module
 from randschrod.disorder import DisorderModel
 from randschrod.hamiltonian import NumericalFailure
-from randschrod.probes import _next_scale
+from randschrod.probes import _gap_estimates, _gap_hits, _next_scale
 
 
 def _free_rate(z: float) -> float:
@@ -33,6 +32,16 @@ def _free_rate(z: float) -> float:
     s = 2.0 - z
     mu = (s - math.sqrt(s * s - 4.0)) / 2.0
     return -math.log(mu)
+
+
+def _max_norm(profile, distance):
+    return max(n for d, n in zip(profile.distances, profile.norms) if d == distance)
+
+
+def _gap_probability(model, side, alpha, realizations, theta0=None):
+    """The estimate of one side from the gap-prob run's worker and reduction."""
+    estimates = _gap_estimates(model, (side,), alpha, theta0)
+    return estimates(_gap_hits(model, (side,), alpha, theta0, range(realizations)))[0]
 
 
 class TestCombesThomas:
@@ -55,7 +64,7 @@ class TestCombesThomas:
         for c in range(15):
             expected.setdefault(abs(c - 7), []).append(abs(inv[c, 7]))
         for d in set(profile.distances):
-            assert profile.norm_at(d) == pytest.approx(max(expected[d]), rel=1e-10)
+            assert _max_norm(profile, d) == pytest.approx(max(expected[d]), rel=1e-10)
 
     def test_blocks_use_the_spectral_norm_at_two_points_per_cell(self):
         model = AndersonModel.free(points_per_cell=2, omega_max=0.5, master_seed=4)
@@ -68,7 +77,7 @@ class TestCombesThomas:
             rows = [2 * cell, 2 * cell + 1]
             block = inv[np.ix_(rows, anchor_cols)]
             d = abs(cell - 4)
-            assert profile.norm_at(d) >= np.linalg.svd(block, compute_uv=False)[0] - 1e-12
+            assert _max_norm(profile, d) >= np.linalg.svd(block, compute_uv=False)[0] - 1e-12
 
     def test_probe_on_the_spectrum_is_rejected(self):
         model = AndersonModel.free(omega_max=0.0)
@@ -83,13 +92,6 @@ class TestCombesThomas:
         with pytest.raises(ValueError, match="floor"):
             combes_thomas_profile(h, -1.0, anchor=(10,), max_distance=10,
                                   norm_floor=1e10)
-
-    def test_norm_at_unknown_distance_raises(self):
-        model = AndersonModel.free(omega_max=0.0)
-        h = model.h0_box(21, BoundaryCondition.dirichlet())
-        profile = combes_thomas_profile(h, -1.0, anchor=(10,), max_distance=5)
-        with pytest.raises(KeyError):
-            profile.norm_at(9)
 
 
 class TestWilsonInterval:
@@ -128,7 +130,7 @@ class TestGapProbability:
         # theta = 0 keeps the free eigenvalue at the band edge inside
         # every window [0, side^-alpha), so the hit rate is exactly 1
         model = AndersonModel.free(omega_max=0.0)
-        est = gap_probability(model, side=5, alpha=0.5, realizations=10)
+        est = _gap_probability(model, side=5, alpha=0.5, realizations=10)
         assert est.hits == 10
         assert est.estimate == 1.0
         assert est.window == pytest.approx(5.0**-0.5)
@@ -138,17 +140,17 @@ class TestGapProbability:
     def test_validation_guards(self):
         model = AndersonModel.free(omega_max=0.0)
         with pytest.raises(ValueError, match="alpha"):
-            gap_probability(model, side=5, alpha=1.2, realizations=2)
+            _gap_probability(model, side=5, alpha=1.2, realizations=2)
         with pytest.raises(ValueError, match="side"):
-            gap_probability(model, side=1, alpha=0.5, realizations=2)
+            _gap_probability(model, side=1, alpha=0.5, realizations=2)
         with pytest.raises(ValueError, match="zone"):
-            gap_probability(model, side=5, alpha=0.5, realizations=2,
+            _gap_probability(model, side=5, alpha=0.5, realizations=2,
                             theta0=(1.0,))
 
     def test_even_side_is_refused(self):
         model = AndersonModel.free(omega_max=0.0)
         with pytest.raises(ValueError, match="odd"):
-            gap_probability(model, side=6, alpha=0.5, realizations=2)
+            _gap_probability(model, side=6, alpha=0.5, realizations=2)
 
     def test_wrapped_box_folds_couplings_onto_the_torus(self):
         # an exponential bump reaches past the box; the hit rate must be
@@ -164,17 +166,17 @@ class TestGapProbability:
                 h = model.periodic_box(4, BoundaryCondition.periodic(), realization=r)
                 evals = np.linalg.eigvalsh(h.dense())
                 oracle += bool(np.any((evals >= 0.0) & (evals < window)))
-            assert gap_probability(model, side, alpha, m).hits == oracle
+            assert _gap_probability(model, side, alpha, m).hits == oracle
 
     def test_theta0_zone_is_that_of_the_side_cell_box(self):
         # 9 cells carry the zone |theta| <= pi/9 = 0.349 and the phase 9 theta;
         # at 9 * 0.2 = 1.8 the lowest free level 2 - 2 cos(0.2) lies in the window
         model = AndersonModel.free(omega_max=0.0)
-        est = gap_probability(model, side=9, alpha=0.25, realizations=2, theta0=(0.2,))
+        est = _gap_probability(model, side=9, alpha=0.25, realizations=2, theta0=(0.2,))
         assert est.boundary == "theta(0.2)"
         assert est.hits == 2
         with pytest.raises(ValueError, match="zone"):
-            gap_probability(model, side=9, alpha=0.25, realizations=2, theta0=(0.36,))
+            _gap_probability(model, side=9, alpha=0.25, realizations=2, theta0=(0.36,))
 
     @pytest.mark.parametrize(
         "side,theta0,hits",
@@ -183,7 +185,7 @@ class TestGapProbability:
     def test_theta0_hits_are_pinned(self, side, theta0, hits):
         # hit counts of the boxes that periodic_box_at assembles at theta0
         model = AndersonModel.free(points_per_cell=2, omega_max=1.0, master_seed=11)
-        got = tuple(gap_probability(model, side, alpha, 40, theta0).hits
+        got = tuple(_gap_probability(model, side, alpha, 40, theta0).hits
                     for alpha in (0.25, 0.5))
         assert got == hits
 
@@ -195,7 +197,7 @@ class TestGapProbability:
             disorder=DisorderModel(omega_max=0.0),
         )
         with pytest.raises(ValueError, match="shift the model"):
-            gap_probability(model, side=5, alpha=0.5, realizations=2)
+            _gap_probability(model, side=5, alpha=0.5, realizations=2)
 
 
 class TestThetaAverageCheck:
