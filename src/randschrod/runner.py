@@ -246,7 +246,6 @@ def _regularity(model, side, energy, delta, mass, probes, realization):
 def _run_bandstructure(model, exp, execution, sink):
     hw = exp["half_width"]
     bands = compute_bands(model, hw, exp["resolution"], exp["num_bands"], exp["realization"])
-    # one row per grid point and band: theta_1..theta_d, n, E
     header = [f"theta_{j + 1}" for j in range(bands.dimension)] + ["n", "E"]
     sink.write_csv("bands.csv", header, (
         (*(axis[i] for axis, i in zip(bands.axes, index)), n, energy)
