@@ -379,8 +379,11 @@ class AssembledHamiltonian:
         the batched kernel ``_sturm_count`` on this one chain, the kernel
         that ``AndersonModel.dirichlet_counts`` runs on a batch of
         realizations, and it gives the same count here as there.  Every
-        other operator is counted from its computed eigenvalues by
-        ``count_strictly_below``.
+        other operator assembled here is counted from its computed
+        eigenvalues by ``count_strictly_below``, so a tie within rounding
+        is not decided; runs count wrapped 1D boxes through
+        ``AndersonModel.zone_counts``, which gives rings of at least 3
+        points to the same kernel with a wrap bond.
         """
         energies = np.asarray(energies, dtype=float)
         tri = self._tridiagonal()
@@ -476,7 +479,9 @@ def count_strictly_below(spectra: np.ndarray, energies: Sequence[float]) -> np.n
     ``spectra`` holds one sorted spectrum, or one per row as
     ``AndersonModel.zone_spectra`` returns them; the counts have the shape
     ``spectra.shape[:-1] + energies.shape``.  An eigenvalue equal to E is
-    not below E; a tie within rounding is not decided.
+    not below E; a tie within rounding is not decided.  Runs count 2D
+    wrapped boxes and rings of 1 or 2 points here; every other count goes
+    through ``_sturm_count``.
     """
     spectra = np.asarray(spectra, dtype=float)
     energies = np.asarray(energies, dtype=float)
@@ -485,15 +490,18 @@ def count_strictly_below(spectra: np.ndarray, energies: Sequence[float]) -> np.n
     return np.reshape(counts, spectra.shape[:-1] + energies.shape)
 
 
-def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Negative LDL^T pivots of tridiag(off, diag, off) - E, per chain and energy.
+def _sturm_count(
+    diag: np.ndarray, off: np.ndarray, energies: np.ndarray, wrap: np.ndarray | None = None
+) -> np.ndarray:
+    """Negative LDL^T pivots of tridiag(off, diag, off) - E, per chain and energy,
+    or with ``wrap`` the eigenvalues below E of each chain closed into a ring.
 
-    ``diag[..., n]`` and ``off[..., n-1]`` hold one chain per index of
-    their leading (batch) axes; the counts have the shape
-    ``diag.shape[:-1] + energies.shape``.  Each chain is counted alone:
-    its pivmin follows LAPACK dstebz, tiny * max(1, max off^2), which keeps
-    off^2 / pivot finite, and a pivot with |pivot| < pivmin becomes +pivmin
-    (dstebz uses -pivmin and so counts eig <= E).
+    ``diag[..., n]`` and ``off[..., n-1]`` hold one chain per index of the
+    leading (batch) axes of ``diag``, to which ``off`` broadcasts; the
+    counts have the shape ``diag.shape[:-1] + energies.shape``.  Each chain
+    is counted alone: its pivmin follows LAPACK dstebz, tiny * max(1, max
+    off^2), which keeps off^2 / pivot finite, and a pivot with |pivot| <
+    pivmin becomes +pivmin (dstebz uses -pivmin and so counts eig <= E).
 
     One Python step per site runs over (batch x energies).  The guard runs
     once per ``_STURM_BLOCK`` sites, as LAPACK dlaneg does: the block is
@@ -501,17 +509,41 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.
     is swept again from the pivot before it, site by site with the guard.
     Every pivot is therefore the one the guarded recurrence computes, and
     so is every count, whatever the batch and block.
+
+    ``wrap`` holds the hop c at entry (n-1, 0) of each chain, with conj(c)
+    at (0, n-1), and broadcasts to the batch; it needs n >= 3.  The sweep
+    then runs over the Dirichlet chain T of sites 0..n-2, and inertia is
+    additive over a Schur complement (Haynsworth, 1968): the ring has
+    [s < 0] more eigenvalues below E than T, where
+
+        s = (a_{n-1} - E) - |c|^2 sum_k P_k^2 / d_k
+            - (b^2 + 2 b Re(c) P_{n-2}) / d_{n-2},
+
+    d_k are the pivots of T - E, P_k = prod_{j<k} (-off_j / d_j) and b is
+    the last bond.  The arithmetic is real.  A (chain, energy) whose sweep
+    meets a guarded pivot, or whose s is not finite, is counted from the
+    eigenvalues of its dense ring instead, where a tie within rounding is
+    not decided.
     """
     energies = np.asarray(energies, dtype=float)
     diag = np.asarray(diag, dtype=float)
     n, batch = diag.shape[-1], diag.shape[:-1]
-    off2 = np.asarray(off, dtype=float) ** 2
     # site axis first, batch flattened: every step works on one (chains, E) plane
     chains = math.prod(batch)
     sites = diag.reshape(chains, n).T
-    coupling = np.concatenate([np.zeros((1, chains)), off2.reshape(chains, n - 1).T])[..., None]
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(coupling, axis=0, initial=0.0))
+    bonds = np.broadcast_to(np.asarray(off, dtype=float), batch + (n - 1,)).reshape(chains, n - 1).T
     plane = (chains,) + energies.shape
+    if wrap is not None:
+        if n < 3:
+            raise ValueError(f"a wrapped chain needs at least 3 sites, got {n}")
+        ring = (sites, bonds, np.broadcast_to(wrap, batch).reshape(chains))
+        # site k of T scales P by -off_k / d_k: the ring's bonds line up with T's sites
+        hop = -bonds[..., None]
+        sites, bonds, n = sites[:-1], bonds[:-1], n - 1
+        border = np.ones(plane)  # P_k at the first site of the next block
+        total = np.zeros(plane)  # sum of P_k^2 / d_k over the sites swept
+    coupling = np.concatenate([np.zeros((1, chains)), bonds**2])[..., None]
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(coupling, axis=0, initial=0.0))
     block = min(_STURM_BLOCK, n)
     # a - E and the pivots of one block, each step on whole contiguous
     # planes through views made once per call.  A pivot's plane holds off^2
@@ -520,6 +552,7 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.
     steps = list(zip(shifted, pivots))
     previous = np.ones(plane)
     count = np.zeros(plane, dtype=np.int64)
+    guarded = np.zeros(plane, dtype=bool)
     for start in range(0, n, block):
         size = min(block, n - start)
         rows = slice(start, start + size)
@@ -540,18 +573,45 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.
             for a_k, p_k in steps[:size]:
                 np.divide(p_k, last, out=p_k)
                 np.subtract(a_k, p_k, out=p_k)
-                np.copyto(p_k, pivmin, where=np.abs(p_k) < pivmin)
+                tiny = np.abs(p_k) < pivmin
+                np.copyto(p_k, pivmin, where=tiny)
+                guarded |= tiny
                 last = p_k
         count += np.count_nonzero(piv < 0.0, axis=0)
         previous = piv[-1].copy()
+        if wrap is not None:
+            # P over the block, one product per site in the recurrence's order
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio = hop[rows] / piv
+                products = np.concatenate([border[None], ratio[:-1]])
+                np.multiply.accumulate(products, axis=0, out=products)
+                total += np.sum(products * products / piv, axis=0)
+                border = products[-1] * ratio[-1]
+    if wrap is None:
+        return count.reshape(batch + energies.shape)
+    ring_sites, ring_bonds, corner = ring
+    a, b, c = ring_sites[-1, :, None], ring_bonds[-1, :, None], corner[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # products[-1] is P_{n-2} and previous is d_{n-2}
+        s = ((a - energies) - (c.real * c.real + c.imag * c.imag) * total
+             - (b * b + 2.0 * b * c.real * products[-1]) / previous)
+    fallback = guarded | ~np.isfinite(s)
+    count += (s < 0.0) & ~fallback
+    for chain in np.flatnonzero(fallback.any(axis=-1)):
+        h = np.diag(ring_sites[:, chain].astype(complex))
+        h += np.diag(ring_bonds[:, chain], 1) + np.diag(ring_bonds[:, chain], -1)
+        h[-1, 0] += corner[chain]
+        h[0, -1] += np.conj(corner[chain])
+        at = fallback[chain]
+        count[chain, at] = np.searchsorted(np.linalg.eigvalsh(h), energies[at], side="left")
     return count.reshape(batch + energies.shape)
 
 
-def sturm_bytes(sites: int, energies: int) -> int:
+def sturm_bytes(sites: int, energies: int, wrapped: bool = False) -> int:
     """Bytes that one chain of ``sites`` sites holds in a ``_sturm_count`` at
     ``energies`` energies: its diagonal, potential and squared couplings,
-    and two (block, energies) planes of the sweep."""
-    return 8 * (3 * sites + 2 * min(_STURM_BLOCK, sites) * energies)
+    and two (block, energies) planes of the sweep, or four with a wrap bond."""
+    return 8 * (3 * sites + (4 if wrapped else 2) * min(_STURM_BLOCK, sites) * energies)
 
 
 def realization_chunks(realizations: int, threads: int, row_bytes: int) -> list[range]:

@@ -32,6 +32,8 @@ from .hamiltonian import (
     site_ranges,
     _site_sum,
     _sturm_count,
+    _wrap_bonds,
+    _wrap_hop,
 )
 
 __all__ = ["AndersonModel", "align_band_edge"]
@@ -159,7 +161,7 @@ class AndersonModel:
             rows = [self.anderson_box(cells, bc, r).count_below(energies) for r in realizations]
             return np.reshape(rows, (len(rows),) + energies.shape)
         chains, off = self._dirichlet_chains(cells, realizations)
-        return _sturm_count(chains, np.broadcast_to(off, (len(chains),) + off.shape), energies)
+        return _sturm_count(chains, off, energies)
 
     def dirichlet_spectra(
         self, cells: int | Sequence[int], realizations: Sequence[int]
@@ -226,6 +228,17 @@ class AndersonModel:
         bc = self.wrap_phases(half_width, quasimomentum)
         return self.periodic_box(half_width, bc, realization=realization, sample=sample)
 
+    def _zone_potential(
+        self, half_width: int, realization: int | Sequence[int], sample: DisorderSample | None
+    ) -> np.ndarray:
+        """Folded potential on the (2l+1)^d box of one realization, or one row
+        per realization of a chunk; ``sample`` replaces a single draw."""
+        grid = self.grid(2 * half_width + 1)
+        if sample is None:
+            sample = (self.sample_fundamental(grid, realization) if np.ndim(realization) == 0
+                      else [self.sample_fundamental(grid, r) for r in realization])
+        return folded_potential(grid, self.single_site, sample)
+
     def zone_spectra(
         self,
         half_width: int,
@@ -248,12 +261,8 @@ class AndersonModel:
         a one-point axis.
         """
         bcs = [self.wrap_phases(half_width, theta) for theta in nodes]
-        grid = self.grid(2 * half_width + 1)
-        if sample is None:
-            sample = (self.sample_fundamental(grid, realization) if np.ndim(realization) == 0
-                      else [self.sample_fundamental(grid, r) for r in realization])
-        h0 = _shared_h0(grid, self.v0, BoundaryCondition.dirichlet())
-        return h0.bloch_spectra(folded_potential(grid, self.single_site, sample), bcs)
+        h0 = _shared_h0(self.grid(2 * half_width + 1), self.v0, BoundaryCondition.dirichlet())
+        return h0.bloch_spectra(self._zone_potential(half_width, realization, sample), bcs)
 
     def zone_counts(
         self,
@@ -266,11 +275,25 @@ class AndersonModel:
         """#{eigenvalues of H_{omega,l}(theta) < E}, one row per node, one column
         per E; a chunk of realizations gives one such array per realization.
 
-        Every count on a wrapped box is taken here, from the rows of
-        ``zone_spectra``, so a tie within rounding is not decided.
+        Every count on a wrapped box is taken here.  A 1D box of at least 3
+        grid points is a ring: the diagonal of its Dirichlet H0 plus the
+        folded potential, H0's bonds, and the wrap hop of each node.  All
+        (realization, node) rings go to one ``_sturm_count`` sweep, which
+        needs no eigenvalues and counts each ring alone.  Other boxes are
+        counted by ``count_strictly_below`` on the rows of ``zone_spectra``.
+        Either way a tie within rounding is not decided.
         """
-        spectra = self.zone_spectra(half_width, nodes, realization, sample)
-        return count_strictly_below(spectra, energies)
+        grid = self.grid(2 * half_width + 1)
+        if self.dimension != 1 or grid.n_points < 3:
+            spectra = self.zone_spectra(half_width, nodes, realization, sample)
+            return count_strictly_below(spectra, energies)
+        phases = [self.wrap_phases(half_width, theta).theta[0] for theta in nodes]
+        potential = self._zone_potential(half_width, realization, sample)
+        diag, off = _shared_h0(grid, self.v0, BoundaryCondition.dirichlet())._tridiagonal()
+        ((_, _, w),) = _wrap_bonds(grid)
+        rings = diag + potential[..., None, :]
+        rings = np.broadcast_to(rings, rings.shape[:-2] + (len(phases), grid.n_points))
+        return _sturm_count(rings, off, energies, wrap=_wrap_hop(w, np.array(phases)))
 
     # -- band edge --------------------------------------------------------
 

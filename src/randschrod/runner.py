@@ -421,7 +421,7 @@ def _run_theta_bounds(model, exp, execution, sink):
     nodes, energies, reports = _theta_bounds(
         model, l, exp["energy"], exp["theta_resolution"], exp["theta0"], exp["xi"]
     )
-    row_bytes = 8 * len(nodes) * model.grid(2 * l + 1).n_points  # its spectra
+    row_bytes = len(nodes) * sturm_bytes(model.grid(2 * l + 1).n_points, len(energies), True)
     avg, fixed = reports(_map_rows(partial(model.zone_counts, l, nodes, energies),
                                    execution["realizations"], row_bytes, execution["threads"]))
     payload: dict = {"average": avg, "average_passed": avg.passed}

@@ -84,3 +84,46 @@ def test_process_seconds_are_checked_where_recorded():
     problems = bench_pairs.check_bench_file(doc, RUN_SECONDS)
     assert any(p.endswith("process_s: expected one run per wall_time_s run") for p in problems)
     assert any(p.endswith("process_s.q1: expected a number") for p in problems)
+
+
+def test_failed_seeds_are_checked_where_recorded():
+    # files written before tools/bench_pairs.py kept the failed master seeds
+    # and the rounds of each pair have neither and stay valid (the schema
+    # test above checks them all); a file that has them must give master
+    # seeds no more than the failed rounds, and one round count per pair
+    docs = [json.loads(path.read_text(encoding="ascii")) for path in BENCH_FILES]
+    older = [doc for doc in docs if not any(
+        "failed_seeds" in entry[side] for entry in doc["workloads"].values()
+        for side in bench_pairs.SIDES)]
+    assert len(older) >= 6
+    doc = older[-1]
+    for entry in doc["workloads"].values():
+        for side in bench_pairs.SIDES:
+            counts = entry[side]
+            counts["failed_seeds"] = list(range(61000, 61000 + counts["failed"]))
+            counts["rounds"] = [counts["attempted"] // bench_pairs.PAIRS] * bench_pairs.PAIRS
+    assert bench_pairs.check_bench_file(doc, RUN_SECONDS) == []
+    first, second = (entry["change"] for entry in list(doc["workloads"].values())[:2])
+    first["failed_seeds"].extend([1, 2] * (first["attempted"] + 1))
+    second["rounds"] = second["rounds"][:-1] + ["many"]
+    problems = bench_pairs.check_bench_file(doc, RUN_SECONDS)
+    assert any(p.endswith("failed_seeds: more seeds than failed rounds") for p in problems)
+    assert any(p.endswith(f"rounds: expected {bench_pairs.PAIRS} round counts")
+               for p in problems)
+
+
+def test_failed_rounds_are_read_from_the_bench_log():
+    log = ("round 3: randschrod exited 4: refinement gain 3.1 below 4\n"
+           "round 17: randschrod exited 4: refinement gain 2.9 below 4\n"
+           "hs-quadrature: 20 round(s), wall_s per round [0.04]\n")
+    assert bench_pairs.round_failures(log, 61) == ([61003, 61017], 20)
+    assert bench_pairs.round_failures("", 5) == ([], None)
+
+
+def test_seeds_failed_on_one_side_count_only_rounds_both_sides_ran():
+    # pair 0 (seed 7): the parent ran rounds 0..4 and the change 0..2, so
+    # the parent's seed 7004 says nothing of the change
+    doc = {"settings": {"seed_base": 7}, "workloads": {"w": {
+        "parent": {"failed_seeds": [7001, 7004, 8000], "rounds": [5, 3]},
+        "change": {"failed_seeds": [7001, 8002], "rounds": [3, 3]}}}}
+    assert bench_pairs.one_sided_seeds(doc, "w") == {"parent": [8000], "change": [8002]}

@@ -810,22 +810,29 @@ class TestCli:
         monkeypatch.setattr(model_module, "assemble_periodic_approx", sparse)
         runner.run(copy.deepcopy(config), out_root=str(tmp_path))
 
-    def test_theta_bounds_builds_each_bloch_operator_once(self, tmp_path, monkeypatch):
-        # both checks read one count of each realization at the zone nodes and theta0
-        rows = []
-        bloch_spectra = hamiltonian.AssembledHamiltonian.bloch_spectra
+    def test_theta_bounds_counts_every_ring_in_one_sweep(self, tmp_path, monkeypatch):
+        # both checks read one count of each realization at the zone nodes and
+        # theta0; the 1D rings are counted without eigenvalues
+        sweeps = []
+        sturm_count = model_module._sturm_count
 
-        def counted(self, potential, bcs):
-            rows.append((np.shape(potential)[:-1], len(bcs)))
-            return bloch_spectra(self, potential, bcs)
+        def counted(diag, off, energies, wrap=None):
+            sweeps.append((np.shape(diag), wrap is not None))
+            return sturm_count(diag, off, energies, wrap)
 
-        monkeypatch.setattr(hamiltonian.AssembledHamiltonian, "bloch_spectra", counted)
+        def solved(*args):
+            raise AssertionError("a 1D wrapped box was counted from its eigenvalues")
+
+        monkeypatch.setattr(model_module, "_sturm_count", counted)
+        monkeypatch.setattr(hamiltonian.AssembledHamiltonian, "bloch_spectra", solved)
         config = _theta_bounds_config()
         config["execution"]["threads"] = 1  # the counter lives in this process
         runner.run(config, out_root=str(tmp_path))
         m = config["execution"]["realizations"]
-        # one thread maps one chunk: every realization's potential in one call
-        assert rows == [((m,), config["experiment"]["theta_resolution"] + 1)]
+        exp = config["experiment"]
+        points = (2 * exp["half_width"] + 1) * config["model"]["points_per_cell"]
+        # one thread maps one chunk: every (realization, node) ring in one call
+        assert sweeps == [((m, exp["theta_resolution"] + 1, points), True)]
 
     def test_lifshitz_assembles_h0_once_for_all_realizations(self, tmp_path, monkeypatch):
         # every realization adds its couplings to one shared Dirichlet H0

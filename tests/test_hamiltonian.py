@@ -3,6 +3,7 @@
 import itertools
 import math
 import unittest.mock
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,6 +241,104 @@ class TestBatchedSturm:
         dense, clear = _dense_counts(diag, off, energies)
         assert np.array_equal(counts[clear], dense[clear]) and clear[1:].all()
         assert counts[-1] > counts[1] > 0
+
+
+def _dense_ring(diag, off, corner):
+    """The ring tridiag(off, diag, off) with ``corner`` at (n-1, 0), dense."""
+    h = np.diag(np.asarray(diag, dtype=complex)) + np.diag(off, 1) + np.diag(off, -1)
+    h[-1, 0] += corner
+    h[0, -1] += np.conj(corner)
+    return h
+
+
+class TestWrappedSturm:
+    """``_sturm_count`` with a wrap bond, against dense eigenvalues and the
+    zone op it replaces in ``AndersonModel.zone_counts``."""
+
+    @given(
+        points_per_cell=st.integers(1, 3),
+        n=st.integers(3, 60),
+        block=st.integers(1, 9),
+        disorder=st.floats(0.0, 10.0),
+        random_bonds=st.booleans(),
+        phases=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ring_counts_equal_the_dense_counts(
+        self, points_per_cell, n, block, disorder, random_bonds, phases, seed
+    ):
+        # a ring of hop weight w = p^2 under each phase; blocks of 1..9
+        # sites carry the border term across every block edge
+        rng = np.random.default_rng(seed)
+        w = float(points_per_cell**2)
+        diag = 2.0 * w + disorder * rng.random((2, len(phases), n))
+        off = (rng.uniform(-1.5, 1.5, n - 1) if random_bonds else -np.ones(n - 1)) * w
+        corners = -w * np.exp(1j * np.array(phases))
+        energies = np.sort(rng.uniform(-1.0, 4.0 * w + disorder + 1.0, 25))
+        with unittest.mock.patch.object(hamiltonian, "_STURM_BLOCK", block):
+            counts = hamiltonian._sturm_count(diag, off, energies, wrap=corners)
+        assert counts.shape == (2, len(phases), len(energies))
+        for index in np.ndindex(2, len(phases)):
+            evals = np.linalg.eigvalsh(_dense_ring(diag[index], off, corners[index[1]]))
+            gap = np.min(np.abs(energies[:, None] - evals[None, :]), axis=1)
+            clear = gap > 1e-9 * np.max(np.abs(evals))
+            expected = np.searchsorted(evals, energies, side="left")
+            assert np.array_equal(counts[index][clear], expected[clear])
+
+    @pytest.mark.parametrize("points_per_cell, half_width",
+                             [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (3, 2)])
+    def test_zone_counts_equal_the_counts_of_zone_spectra(self, points_per_cell, half_width):
+        # rings of 1 and 2 points keep the spectra; 3 points and more are swept
+        model = AndersonModel.free(points_per_cell=points_per_cell, omega_max=1.5,
+                                   master_seed=9)
+        extent = math.pi / (2 * half_width + 1)
+        nodes = [(t,) for t in np.linspace(-extent, extent, 5)]
+        energies = [0.0, 0.3, 1.0, 2.5, 4.0 * points_per_cell**2 + 0.7]
+        one = model.zone_counts(half_width, nodes, energies, realization=4)
+        assert np.array_equal(
+            one, count_strictly_below(model.zone_spectra(half_width, nodes, 4), energies))
+        chunk = model.zone_counts(half_width, nodes, energies, range(2, 6))
+        spectra = model.zone_spectra(half_width, nodes, range(2, 6))
+        assert chunk.shape == (4, len(nodes), len(energies))
+        assert np.array_equal(chunk, count_strictly_below(spectra, energies))
+        assert np.array_equal(chunk[2], one)
+
+    def test_free_ring_at_two_takes_the_dense_count_silently(self, monkeypatch):
+        # every site of the free ring is 2, so at E = 2 the first pivot is
+        # exactly 0: the sweep guards it and the ring is solved densely
+        model = AndersonModel.free(omega_max=0.0)
+        nodes = [(-math.pi / 5,), (0.0,), (0.3,), (math.pi / 5,)]
+        energies = [0.0, 2.0, 3.9]
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            solved.append(np.shape(a))
+            return eigvalsh(a)
+
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            counts = model.zone_counts(2, nodes, energies)
+        assert solved == [(5, 5)] * len(nodes)  # one dense ring per node, for E = 2 only
+        monkeypatch.undo()
+        assert np.array_equal(counts, count_strictly_below(model.zone_spectra(2, nodes), energies))
+        assert list(counts[:, 0]) == [0] * len(nodes)
+
+    def test_a_guarded_pivot_is_counted_densely_where_s_is_finite(self, monkeypatch):
+        # site 0 sits at E and its bond is cut, so the first pivot is exactly
+        # 0 and guarded while P stays 0 after it: s is finite, but T - E is
+        # singular, so the ring is solved densely
+        diag, off, corner = np.array([1.0, 2.0, 2.0, 2.0]), np.array([0.0, -1.0, -1.0]), -1.0
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(1) or eigvalsh(a))
+        counts = hamiltonian._sturm_count(diag, off, np.array([0.5, 1.0]), wrap=corner)
+        assert solved == [1]
+        monkeypatch.undo()
+        evals = np.linalg.eigvalsh(_dense_ring(diag, off, corner))
+        assert np.array_equal(counts, np.searchsorted(evals, [0.5, 1.0], side="left"))
 
 
 class TestRandomPotential:

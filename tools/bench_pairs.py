@@ -15,7 +15,8 @@ times the whole CLI process, interpreter start and imports included.
 
 The file holds a machine block, the per-workload metrics (median and
 quartiles of each side, pairs where the change was lower, failed and
-attempted operations) and the shipped-config wall and process times.  A gain counts
+attempted operations, the master seeds of the failed rounds and the rounds
+of each pair) and the shipped-config wall and process times.  A gain counts
 when the change is better in at least 9 of 10 pairs and the medians differ
 by more than the parent's interquartile range (``gain_shown``).
 """
@@ -27,6 +28,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -39,6 +41,8 @@ SIDES = ("parent", "change")
 PAIRS = 10  # alternating pairs per workload
 SHIPPED_RUNS = 5  # runs per side of each shipped config
 GAIN_SHARE = 0.9  # share of pairs the change must win for a gain
+# bench/run.py gives round k of a run at --seed N the master seed 1000 N + k
+ROUND_SEEDS = 1000
 # BLAS pinned as bench/run.py pins it, for the shipped-config runs
 _ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -106,6 +110,17 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def round_failures(stderr: str, seed: int) -> tuple[list[int], int | None]:
+    """(master seeds of the failed rounds, rounds run) of one bench/run.py run
+    at ``--seed seed``, read from its standard error: a failed round k
+    prints ``round k: randschrod exited N``, and the run ends with
+    ``<workload>: R round(s), ...``."""
+    failed = [ROUND_SEEDS * seed + int(k)
+              for k in re.findall(r"^round (\d+): randschrod exited", stderr, re.M)]
+    rounds = re.search(r"^\S+: (\d+) round\(s\),", stderr, re.M)
+    return failed, int(rounds.group(1)) if rounds else None
+
+
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -114,7 +129,9 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if out.returncode != 0:
         raise RuntimeError(f"bench/run.py in {tree} exited {out.returncode}: {out.stderr[-2000:]}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    failed_seeds, rounds = round_failures(out.stderr, seed)
+    return {**json.loads(out.stdout.strip().splitlines()[-1]),
+            "failed_seeds": failed_seeds, "rounds": rounds}
 
 
 def shipped_once(tree: Path, config: Path,
@@ -166,7 +183,9 @@ def run_pairs(trees: dict, spec: dict, args) -> dict:
             "metrics": metrics,
             **{side: {"failed": sum(r["failed"] for r in runs[side]),
                       "attempted": sum(r["attempted"] for r in runs[side]),
-                      "correct": all(r["correct"] for r in runs[side])} for side in SIDES},
+                      "correct": all(r["correct"] for r in runs[side]),
+                      "failed_seeds": [s for r in runs[side] for s in r["failed_seeds"]],
+                      "rounds": [r["rounds"] for r in runs[side]]} for side in SIDES},
         }
     return workloads
 
@@ -198,8 +217,27 @@ def run_shipped(trees: dict, work: Path) -> dict:
     return shipped
 
 
+def one_sided_seeds(doc: dict, workload: str) -> dict:
+    """Per side, the failed master seeds of ``workload`` that the other side
+    ran and passed; empty lists where the file has no seeds or rounds."""
+    entry = doc["workloads"][workload]
+    if not all("failed_seeds" in entry[s] and "rounds" in entry[s] for s in SIDES):
+        return {side: [] for side in SIDES}
+    seed_base = doc["settings"]["seed_base"]
+
+    def ran(side: str, master: int) -> bool:
+        pair, k = divmod(master, ROUND_SEEDS)
+        rounds = entry[side]["rounds"]
+        return 0 <= pair - seed_base < len(rounds) and k < (rounds[pair - seed_base] or 0)
+
+    failed = {side: set(entry[side]["failed_seeds"]) for side in SIDES}
+    return {side: sorted(s for s in failed[side] - failed[other] if ran(other, s))
+            for side, other in zip(SIDES, SIDES[::-1])}
+
+
 def report(doc: dict) -> None:
-    """Each workload metric against its bound, with the parent's own spread."""
+    """Each workload metric against its bound, with the parent's own spread,
+    then each side's failed share of rounds."""
     print(f"{'workload':16} {'metric':12} {'parent':>10} {'change':>10} {'move':>8} "
           f"{'better':>7} {'IQR/med':>8} {'bound':>6}  gain")
     for workload, entry in doc["workloads"].items():
@@ -212,6 +250,15 @@ def report(doc: dict) -> None:
                   f"{m['change_better']:>3}/{m['pairs']:<3} "
                   f"{'' if iqr is None else f'{iqr:.1%}':>8} {m['bound']:6.0%}  "
                   f"{'yes' if m['gain_shown'] else 'no'}")
+    for workload, entry in doc["workloads"].items():
+        shares = {side: entry[side]["failed"] / entry[side]["attempted"]
+                  if entry[side]["attempted"] else 0.0 for side in SIDES}
+        only = one_sided_seeds(doc, workload)
+        print(f"{workload:16} failed " + "  ".join(
+            f"{side} {entry[side]['failed']}/{entry[side]['attempted']} ({shares[side]:.2%})"
+            for side in SIDES)
+            + ("  CHANGE HIGHER" if shares["change"] > shares["parent"] else "")
+            + "".join(f"  {side} only: {only[side]}" for side in SIDES if only[side]))
     for stem, entry in doc["shipped"].items():
         print(f"shipped {stem:24} " + "  ".join(
             f"{side} {entry[side].get('median', math.nan):.4g} s "
@@ -234,6 +281,25 @@ def _check_summary(where: str, block, problems: list[str]) -> None:
         return
     elif not min(runs) <= block["q1"] <= block["median"] <= block["q3"] <= max(runs):
         problems.append(f"{where}: quartiles out of order")
+
+
+def _check_rounds(where: str, counts: dict, problems: list[str]) -> None:
+    """The failed seeds and rounds per pair of one side, where recorded:
+    files written before they were recorded have neither."""
+    seeds = counts.get("failed_seeds")
+    if seeds is not None:
+        if not isinstance(seeds, list) or not all(
+                isinstance(s, int) and s >= 0 for s in seeds):
+            problems.append(f"{where}.failed_seeds: expected a list of master seeds")
+        elif len(seeds) > counts["failed"]:
+            problems.append(f"{where}.failed_seeds: more seeds than failed rounds")
+    rounds = counts.get("rounds")
+    if rounds is not None:
+        if not isinstance(rounds, list) or len(rounds) != PAIRS or not all(
+                isinstance(r, int) and r >= 0 for r in rounds):
+            problems.append(f"{where}.rounds: expected {PAIRS} round counts")
+        elif sum(rounds) > counts["attempted"]:
+            problems.append(f"{where}.rounds: more rounds than attempted operations")
 
 
 def check_bench_file(doc, run_seconds: float) -> list[str]:
@@ -278,6 +344,8 @@ def check_bench_file(doc, run_seconds: float) -> list[str]:
                 problems.append(f"{where}.{side}: expected failed and attempted counts")
             elif not 0 <= counts["failed"] <= counts["attempted"]:
                 problems.append(f"{where}.{side}: failed outside [0, attempted]")
+            else:
+                _check_rounds(f"{where}.{side}", counts, problems)
         metrics = entry.get("metrics") if isinstance(entry, dict) else None
         if not isinstance(metrics, dict) or not metrics:
             problems.append(f"{where}.metrics: expected a nonempty object")
